@@ -27,6 +27,16 @@ void RequestState::reset() {
   done_ = false;
 }
 
+// Which side of a send/receive race arrives first decides whether a message
+// waits in queue_ or a receive waits in recvs_, so the first time either
+// vector is needed is a matter of timing. Starting both with a few slots
+// keeps that first growth from landing in a random steady-state pass.
+Mailbox::Mailbox() {
+  constexpr size_t kInitialSlots = 16;
+  queue_.reserve(kInitialSlots);
+  recvs_.reserve(kInitialSlots);
+}
+
 void Mailbox::compact_queue() {
   while (queue_head_ < queue_.size() && queue_[queue_head_].src < 0) {
     ++queue_head_;

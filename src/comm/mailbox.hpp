@@ -58,6 +58,8 @@ using Request = std::shared_ptr<RequestState>;
 /// One rank's inbox. Thread-safe.
 class Mailbox {
  public:
+  Mailbox();
+
   /// Deposit a message (called by the sender's thread).
   void put(Message msg);
 

@@ -45,7 +45,25 @@ MultiHeadAttention::MultiHeadAttention(std::string name, int64_t hidden,
 // depends only on the row index, never on the thread count.
 namespace {
 constexpr int64_t kRowBlock = 64;
+
+/// Scale + softmax of one score row over its visible columns [0, jmax).
+/// Every attention path runs this one routine, so training, contiguous
+/// and paged decode share the exact arithmetic.
+void softmax_row(float* prow, int64_t jmax, float scale) {
+  float mx = -1e30f;
+  for (int64_t j = 0; j < jmax; ++j) {
+    prow[j] *= scale;
+    mx = std::max(mx, prow[j]);
+  }
+  double denom = 0.0;
+  for (int64_t j = 0; j < jmax; ++j) {
+    prow[j] = std::exp(prow[j] - mx);
+    denom += prow[j];
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
 }
+}  // namespace
 
 Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
   const int64_t b = x.size(0), t = x.size(1);
@@ -77,18 +95,7 @@ Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
         for (int64_t i = i0; i < i1; ++i) {
           float* prow = prob + i * t;
           const int64_t jmax = causal ? i + 1 : t;
-          float mx = -1e30f;
-          for (int64_t j = 0; j < jmax; ++j) {
-            prow[j] *= scale;
-            mx = std::max(mx, prow[j]);
-          }
-          double denom = 0.0;
-          for (int64_t j = 0; j < jmax; ++j) {
-            prow[j] = std::exp(prow[j] - mx);
-            denom += prow[j];
-          }
-          const float inv = static_cast<float>(1.0 / denom);
-          for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
+          softmax_row(prow, jmax, scale);
           for (int64_t j = jmax; j < t; ++j) prow[j] = 0.0f;
         }
         // context = probs @ V over the visible columns only
@@ -182,9 +189,12 @@ Tensor MultiHeadAttention::backward(const Tensor& dy, int mb) {
 
 Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
                                          int slot) {
-  const int64_t b = x.size(0), t = x.size(1);
   Tensor qkv = qkv_proj_.forward_infer(x, pos0, slot);  // [b, t, 3h]
+  if (store_ != nullptr) {
+    return out_proj_.forward_infer(attend_paged(qkv, pos0, slot), pos0, slot);
+  }
 
+  const int64_t b = x.size(0), t = x.size(1);
   const int64_t row = b * hidden_;  // b * heads * dk
   const int64_t h3 = 3 * hidden_;
   const int64_t total = pos0 + t;
@@ -192,43 +202,6 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
   const float* vcache = nullptr;
   Tensor kf, vf;  // fp16 contiguous mode: per-call fp32 panels
 
-  if (store_ != nullptr) {
-    // Paged mode: append rows into pooled pages, then gather the whole
-    // prefix back into contiguous member panels. The copies are
-    // bitwise-exact (memcpy, or the contiguous path's own
-    // quantise-once/dequantise pair), so the kernels below see the exact
-    // panels the contiguous path would build.
-    if (b != 1) {
-      throw std::invalid_argument(name_ +
-                                  ": paged KV requires batch-1 streams");
-    }
-    const int64_t cached = store_->lane_len(lane_, slot);
-    if (pos0 != cached) {
-      throw std::logic_error(name_ + ": decode out of order (pos0 " +
-                             std::to_string(pos0) + ", cached " +
-                             std::to_string(cached) + ")");
-    }
-    for (int64_t j = 0; j < t; ++j) {
-      const float* src = qkv.data() + j * h3;
-      store_->append(lane_, slot, src + hidden_, src + 2 * hidden_);
-    }
-    const size_t need = static_cast<size_t>(total * row);
-    if (gk_.capacity() < need) {
-      // First touch jumps straight to the configured stream capacity
-      // (set_kv_capacity), so decode never grows these panels mid-stream;
-      // without the hint, geometric growth still reaches steady state.
-      const size_t floor = static_cast<size_t>(
-          (kv_capacity_ > 0 ? kv_capacity_ : 16) * row);
-      const size_t newcap = std::max({need, 2 * gk_.capacity(), floor});
-      gk_.reserve(newcap);
-      gv_.reserve(newcap);
-    }
-    gk_.resize(need);
-    gv_.resize(need);
-    store_->gather(lane_, slot, total, gk_.data(), gv_.data());
-    kcache = gk_.data();
-    vcache = gv_.data();
-  } else {
   KvSlot& kv = kv_[slot];
   if (kv.len == 0) kv.batch = b;
   if (kv.batch != b) {
@@ -319,7 +292,6 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
     kcache = kv.k.data();
     vcache = kv.v.data();
   }
-  }
 
   // Attend each new token over the cached prefix. Extents are per *row*
   // (jext = absolute position + 1), so every row's value is identical
@@ -346,19 +318,7 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
         // scores = q_r K^T over the visible prefix (strided cache panel)
         kernels::gemm_bt(1, jmax, dk, q + r * h3, h3, kc, row, prow, total,
                          false);
-        // scale + row softmax — the same arithmetic as the training forward
-        float mx = -1e30f;
-        for (int64_t j = 0; j < jmax; ++j) {
-          prow[j] *= scale;
-          mx = std::max(mx, prow[j]);
-        }
-        double denom = 0.0;
-        for (int64_t j = 0; j < jmax; ++j) {
-          prow[j] = std::exp(prow[j] - mx);
-          denom += prow[j];
-        }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
+        softmax_row(prow, jmax, scale);
         // context = probs @ V over the visible prefix
         kernels::gemm(1, dk, jmax, prow, total, vc, row,
                       ctxp + (n * t + r) * hidden + hh * dk, hidden, false);
@@ -367,6 +327,88 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
   });
 
   return out_proj_.forward_infer(ctx, pos0, slot);
+}
+
+// Paged attention reads K/V in place, one page at a time (page layout in
+// runtime/kv_store.hpp). Pages are the outer loop, so every page is read
+// once per pass for the scores and once for probs x V, for all query rows
+// and heads at once — fp16 pages dequantize one half per read. Per
+// element the arithmetic is the contiguous path's: scores are ascending-kk
+// multiply-adds of q against a key-major page, probs x V multiply-adds V
+// rows in ascending token order, carried across pages in ctx (vecmat's
+// sequence is gemm's for m = 1), and the softmax is unchanged.
+Tensor MultiHeadAttention::attend_paged(const Tensor& qkv, int64_t pos0,
+                                        int slot) {
+  const int64_t t = qkv.size(1);
+  if (qkv.size(0) != 1) {
+    throw std::invalid_argument(name_ + ": paged KV requires batch-1 streams");
+  }
+  const int64_t cached = store_->lane_len(lane_, slot);
+  if (pos0 != cached) {
+    throw std::logic_error(name_ + ": decode out of order (pos0 " +
+                           std::to_string(pos0) + ", cached " +
+                           std::to_string(cached) + ")");
+  }
+  const int64_t h3 = 3 * hidden_;
+  for (int64_t j = 0; j < t; ++j) {
+    const float* src = qkv.data() + j * h3;
+    store_->append(lane_, slot, src + hidden_, src + 2 * hidden_);
+  }
+
+  const int64_t total = pos0 + t;
+  const int64_t pg = store_->page_tokens();
+  const int64_t pages = (total + pg - 1) / pg;
+  Tensor probs({heads_, t, total});
+  Tensor ctx({1, t, hidden_});
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
+  const float* qkvp = qkv.data();
+  float* probsp = probs.data();
+  float* ctxp = ctx.data();
+  const runtime::KvStore& store = *store_;
+  const int lane = lane_;
+  const bool causal = causal_;
+  const int64_t dk = dk_, hidden = hidden_;
+  // Visible prefix of query row r: absolute position + 1 when causal.
+  const auto extent = [&](int64_t r) { return causal ? pos0 + r + 1 : total; };
+
+  parallel_for(heads_, 1, [&](int64_t h0, int64_t h1) {
+    thread_local std::vector<float> fallback;
+    ScratchBuffer scratch(store.fp16() ? store.page_elems() : 0, fallback);
+    // scores = q_r K^T, page by page, over each row's visible prefix
+    for (int64_t pi = 0; pi < pages; ++pi) {
+      const int64_t j0 = pi * pg;
+      const runtime::KvPage page = store.read_page(
+          lane, slot, pi, total, scratch.data(), runtime::KvStore::kKeys);
+      for (int64_t r = 0; r < t; ++r) {
+        const int64_t n = std::min(page.rows, extent(r) - j0);
+        for (int64_t hh = h0; hh < h1 && n > 0; ++hh) {
+          kernels::vecmat(n, dk, qkvp + r * h3 + hh * dk,
+                          page.k + hh * dk * pg, pg,
+                          probsp + (hh * t + r) * total + j0, false);
+        }
+      }
+    }
+    for (int64_t hh = h0; hh < h1; ++hh) {
+      for (int64_t r = 0; r < t; ++r) {
+        softmax_row(probsp + (hh * t + r) * total, extent(r), scale);
+      }
+    }
+    // context = probs V, page by page; page 0 opens every row's sum
+    for (int64_t pi = 0; pi < pages; ++pi) {
+      const int64_t j0 = pi * pg;
+      const runtime::KvPage page = store.read_page(
+          lane, slot, pi, total, scratch.data(), runtime::KvStore::kValues);
+      for (int64_t r = 0; r < t; ++r) {
+        const int64_t n = std::min(page.rows, extent(r) - j0);
+        for (int64_t hh = h0; hh < h1 && n > 0; ++hh) {
+          kernels::vecmat(dk, n, probsp + (hh * t + r) * total + j0,
+                          page.v + hh * dk, hidden,
+                          ctxp + r * hidden + hh * dk, pi > 0);
+        }
+      }
+    }
+  });
+  return ctx;
 }
 
 int64_t MultiHeadAttention::slot_bytes() const {

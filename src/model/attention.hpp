@@ -30,17 +30,21 @@ class MultiHeadAttention : public Layer {
   /// the attention kernels per decode call — half the resident bytes for
   /// one conversion pass. Throws if streams are already in flight.
   void set_kv_fp16(bool on) override;
-  /// Paged KV mode: rows are appended into `store`'s pooled pages (one
-  /// registered lane per layer) and gathered back into contiguous member
-  /// panels before the unchanged attention kernels run — the gather copies
-  /// are bitwise-exact (memcpy for fp32, the same quantise-once/dequantise
-  /// path as contiguous fp16), so incremental decode keeps its
-  /// full-prefix-recompute identity. Paged streams are batch-1 (serving
+  /// Paged KV mode: K/V rows are appended into `store`'s pooled pages (one
+  /// registered lane per layer), whose K half is key-major and V half
+  /// row-major (runtime/kv_store.hpp). Attention reads the pages in place,
+  /// page by page, with no copy of the prefix: scores are multiply-adds of
+  /// q across each page's keys, probs x V multiply-adds its V rows, in the
+  /// contiguous kernels' per-element order, and fp16 pages dequantize one
+  /// page at a time with the same quantise-once/dequantise pair — so
+  /// incremental decode keeps its full-prefix-recompute identity and
+  /// paged ≡ contiguous bitwise. Paged streams are batch-1 (serving
   /// micro-batches). Throws if streams are already in flight.
   void set_kv_store(runtime::KvStore* store) override;
-  /// Worst-case tokens per decode stream: fresh slots (and the paged
-  /// gather panels) pre-reserve to this capacity so steady-state decode
-  /// never grows KV storage mid-pass. 0 = grow geometrically on demand.
+  /// Worst-case tokens per decode stream: fresh contiguous slots
+  /// pre-reserve to this capacity so steady-state decode never grows KV
+  /// storage mid-pass (paged storage is sized by its pool). 0 = grow
+  /// geometrically on demand.
   void set_kv_capacity(int64_t tokens) override;
   void collect_params(std::vector<Param*>& out) override;
   void drop_cache(int mb) override;
@@ -68,6 +72,10 @@ class MultiHeadAttention : public Layer {
     int64_t batch = 0;
   };
 
+  /// Paged forward_infer core: appends `qkv`'s K/V rows to the store and
+  /// returns the pre-output-projection context [1, t, h].
+  Tensor attend_paged(const Tensor& qkv, int64_t pos0, int slot);
+
   std::string name_;
   int64_t hidden_, heads_, dk_;
   bool causal_;
@@ -76,13 +84,9 @@ class MultiHeadAttention : public Layer {
   Linear out_proj_;
   std::unordered_map<int, Saved> cache_;
   std::unordered_map<int, KvSlot> kv_;
-  /// Paged mode (set_kv_store): non-owning store handle, this layer's lane,
-  /// and member gather panels reused across passes (grown geometrically, so
-  /// steady-state decode stays allocation-free; members rather than
-  /// thread_local because the runtime spawns fresh worker threads per pass).
+  /// Paged mode (set_kv_store): non-owning store handle, this layer's lane.
   runtime::KvStore* store_ = nullptr;
   int lane_ = -1;
-  std::vector<float> gk_, gv_;
   /// Pre-reservation hint from set_kv_capacity (tokens per stream).
   int64_t kv_capacity_ = 0;
 };

@@ -80,8 +80,8 @@ class Layer {
   virtual void set_kv_store(runtime::KvStore* store) { (void)store; }
 
   /// Worst-case tokens per decode stream. Stateful layers pre-reserve
-  /// their per-stream KV storage (and shared gather panels) to this
-  /// capacity so steady-state decode performs zero heap allocations; the
+  /// their contiguous per-stream KV storage to this capacity so
+  /// steady-state decode performs zero heap allocations; the
   /// serving runtime wires the model's max sequence length through here.
   /// Stateless layers ignore it. 0 = grow geometrically on demand.
   virtual void set_kv_capacity(int64_t tokens) { (void)tokens; }

@@ -43,6 +43,27 @@ int64_t match_len(const std::vector<int64_t>& tokens,
   return m;
 }
 
+/// Writes token `off`'s K and V rows into `page` (layout in kv_store.hpp),
+/// converting each element with `cvt`.
+template <typename T, typename Cvt>
+void put_token(T* page, int64_t pg, int64_t row, int64_t off,
+               const float* krow, const float* vrow, Cvt cvt) {
+  for (int64_t e = 0; e < row; ++e) page[e * pg + off] = cvt(krow[e]);
+  T* v = page + pg * row + off * row;
+  for (int64_t e = 0; e < row; ++e) v[e] = cvt(vrow[e]);
+}
+
+/// Copies tokens [0, off) of page `src` into page `dst`, both halves.
+template <typename T>
+void copy_tokens(T* dst, const T* src, int64_t pg, int64_t row,
+                 int64_t off) {
+  const size_t n = static_cast<size_t>(off) * sizeof(T);
+  for (int64_t e = 0; e < row; ++e) {
+    std::memcpy(dst + e * pg, src + e * pg, n);
+  }
+  std::memcpy(dst + pg * row, src + pg * row, n * static_cast<size_t>(row));
+}
+
 }  // namespace
 
 KvStore::KvStore(const KvStoreConfig& cfg) : cfg_(cfg) {
@@ -100,14 +121,8 @@ const KvStore::LaneSlot& KvStore::lane_slot(int lane, int slot) const {
                      static_cast<size_t>(slot)];
 }
 
-float* KvStore::k_row32(int32_t page, int row) {
-  return data32_.data() + page * page_elems() +
-         static_cast<int64_t>(row) * cfg_.row_elems;
-}
-
-uint16_t* KvStore::k_row16(int32_t page, int row) {
-  return data16_.data() + page * page_elems() +
-         static_cast<int64_t>(row) * cfg_.row_elems;
+int64_t KvStore::max_table_pages() const {
+  return (cfg_.pool_pages + lanes_ - 1) / lanes_ + 1;
 }
 
 int64_t KvStore::pages_needed(int64_t final_len, int64_t shared_tokens) const {
@@ -204,6 +219,13 @@ bool KvStore::open_slot(int slot, const std::vector<int64_t>& ids,
     return false;  // pool dry: caller evicts and retries, or sheds load
   }
 
+  for (int lane = 0; lane < lanes_; ++lane) {
+    // Sized once, on the slot's first open (every lane is registered by
+    // then); later opens and every append reuse the capacity.
+    LaneSlot& ls = lane_slot(lane, slot);
+    ls.table.reserve(static_cast<size_t>(max_table_pages()));
+    ls.len = shared;
+  }
   for (const Node* n : matched) {
     for (int lane = 0; lane < lanes_; ++lane) {
       ref_page_locked(n->pages[static_cast<size_t>(lane)]);
@@ -211,7 +233,6 @@ bool KvStore::open_slot(int slot, const std::vector<int64_t>& ids,
           n->pages[static_cast<size_t>(lane)]);
     }
   }
-  for (int lane = 0; lane < lanes_; ++lane) lane_slot(lane, slot).len = shared;
   si.open = true;
   si.reserved = need;
   si.shared = shared;
@@ -302,8 +323,9 @@ void KvStore::append(int lane, int slot, const float* krow,
                      const float* vrow) {
   LaneSlot& ls = lane_slot(lane, slot);
   const int64_t pg = cfg_.page_tokens;
+  const int64_t row = cfg_.row_elems;
   const int64_t pi = ls.len / pg;
-  const int off = static_cast<int>(ls.len % pg);
+  const int64_t off = ls.len % pg;
   if (pi == static_cast<int64_t>(ls.table.size())) {
     std::lock_guard<sync::Mutex<sync::Rank::KvPool>> g(mu_);
     ls.table.push_back(alloc_page_locked(slot));
@@ -319,72 +341,56 @@ void KvStore::append(int lane, int slot, const float* krow,
       // release the shared original. The source page cannot be freed
       // underneath us — this slot still holds a reference to it.
       if (cfg_.fp16) {
-        std::memcpy(k_row16(fresh, 0), k_row16(old, 0),
-                    static_cast<size_t>(off) * cfg_.row_elems *
-                        sizeof(uint16_t));
-        std::memcpy(k_row16(fresh, cfg_.page_tokens),
-                    k_row16(old, cfg_.page_tokens),
-                    static_cast<size_t>(off) * cfg_.row_elems *
-                        sizeof(uint16_t));
+        copy_tokens(data16_.data() + page_offset(fresh),
+                    data16_.data() + page_offset(old), pg, row, off);
       } else {
-        std::memcpy(k_row32(fresh, 0), k_row32(old, 0),
-                    static_cast<size_t>(off) * cfg_.row_elems *
-                        sizeof(float));
-        std::memcpy(k_row32(fresh, cfg_.page_tokens),
-                    k_row32(old, cfg_.page_tokens),
-                    static_cast<size_t>(off) * cfg_.row_elems *
-                        sizeof(float));
+        copy_tokens(data32_.data() + page_offset(fresh),
+                    data32_.data() + page_offset(old), pg, row, off);
       }
       ls.table[static_cast<size_t>(pi)] = fresh;
       std::lock_guard<sync::Mutex<sync::Rank::KvPool>> g(mu_);
       unref_page_locked(old);
     }
   }
-  const int32_t page = ls.table[static_cast<size_t>(pi)];
+  const int64_t base = page_offset(ls.table[static_cast<size_t>(pi)]);
   if (cfg_.fp16) {
-    uint16_t* kdst = k_row16(page, off);
-    uint16_t* vdst = k_row16(page, cfg_.page_tokens + off);
-    for (int64_t i = 0; i < cfg_.row_elems; ++i) {
-      kdst[i] = tensor::float_to_half(krow[i]);
-      vdst[i] = tensor::float_to_half(vrow[i]);
-    }
+    put_token(data16_.data() + base, pg, row, off, krow, vrow,
+              tensor::float_to_half);
   } else {
-    std::memcpy(k_row32(page, off), krow,
-                static_cast<size_t>(cfg_.row_elems) * sizeof(float));
-    std::memcpy(k_row32(page, cfg_.page_tokens + off), vrow,
-                static_cast<size_t>(cfg_.row_elems) * sizeof(float));
+    put_token(data32_.data() + base, pg, row, off, krow, vrow,
+              [](float f) { return f; });
   }
   ls.len += 1;
 }
 
-void KvStore::gather(int lane, int slot, int64_t len, float* kout,
-                     float* vout) const {
+KvPage KvStore::read_page(int lane, int slot, int64_t pi, int64_t len,
+                          float* scratch, Halves halves) const {
   const LaneSlot& ls = lane_slot(lane, slot);
-  if (len > ls.len) throw std::logic_error("KvStore: gather past cached len");
-  auto* self = const_cast<KvStore*>(this);
   const int64_t pg = cfg_.page_tokens;
-  int64_t done = 0;
-  for (size_t pi = 0; done < len; ++pi) {
-    const int32_t page = ls.table[pi];
-    const int64_t rows = std::min<int64_t>(pg, len - done);
-    if (cfg_.fp16) {
-      const uint16_t* ksrc = self->k_row16(page, 0);
-      const uint16_t* vsrc = self->k_row16(page, cfg_.page_tokens);
-      float* kdst = kout + done * cfg_.row_elems;
-      float* vdst = vout + done * cfg_.row_elems;
-      for (int64_t i = 0; i < rows * cfg_.row_elems; ++i) {
-        kdst[i] = tensor::half_to_float(ksrc[i]);
-        vdst[i] = tensor::half_to_float(vsrc[i]);
-      }
-    } else {
-      std::memcpy(kout + done * cfg_.row_elems, self->k_row32(page, 0),
-                  static_cast<size_t>(rows * cfg_.row_elems) * sizeof(float));
-      std::memcpy(vout + done * cfg_.row_elems,
-                  self->k_row32(page, cfg_.page_tokens),
-                  static_cast<size_t>(rows * cfg_.row_elems) * sizeof(float));
-    }
-    done += rows;
+  const int64_t row = cfg_.row_elems;
+  if (len > ls.len || pi < 0 || pi * pg >= len) {
+    throw std::logic_error("KvStore: read past cached len");
   }
+  const int64_t rows = std::min(pg, len - pi * pg);
+  const int64_t base = page_offset(ls.table[static_cast<size_t>(pi)]);
+  if (!cfg_.fp16) {
+    const float* p = data32_.data() + base;
+    return {p, p + pg * row, rows};
+  }
+  const uint16_t* p = data16_.data() + base;
+  if (halves & kKeys) {
+    for (int64_t e = 0; e < row; ++e) {
+      for (int64_t r = 0; r < rows; ++r) {
+        scratch[e * pg + r] = tensor::half_to_float(p[e * pg + r]);
+      }
+    }
+  }
+  if (halves & kValues) {
+    for (int64_t i = pg * row; i < pg * row + rows * row; ++i) {
+      scratch[i] = tensor::half_to_float(p[i]);
+    }
+  }
+  return {scratch, scratch + pg * row, rows};
 }
 
 int64_t KvStore::lane_len(int lane, int slot) const {

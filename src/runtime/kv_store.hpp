@@ -10,14 +10,24 @@
 // zero steady-state heap traffic) and layers a radix-tree prefix index on
 // top so requests with a common prompt prefix share immutable pages:
 //
-//   * A page holds `page_tokens` K rows and `page_tokens` V rows for ONE
-//     attention layer ("lane"), fp32 or fp16 per `kv_fp16` — one uniform
-//     page size per store, so the free list is a plain stack.
+//   * A page holds `page_tokens` tokens of K and V for ONE attention layer
+//     ("lane"), fp32 or fp16 per `kv_fp16` — one uniform page size per
+//     store, so the free list is a plain stack. Page layout, with
+//     pg = page_tokens and row = row_elems:
+//
+//       [ K half: row x pg, key-major ][ V half: pg x row, row-major ]
+//
+//     K element e of token r sits at k[e * pg + r], so one key dimension
+//     of every token in the page is contiguous and the attention scores
+//     are vector multiply-adds across tokens. V token r's row sits at
+//     v[r * row], contiguous for probs x V.
 //   * Each (lane, slot) owns a page table: the ordered page ids covering
-//     that stream's cached positions. Attention appends one row per
-//     decoded token and gathers [0, len) back into contiguous panels, so
-//     the decode kernels run unchanged and incremental decode stays
-//     bitwise identical to a full-prefix recompute.
+//     that stream's cached positions, pre-sized when the slot first opens
+//     so appends never reallocate it. Attention appends one token per
+//     decoded position and reads [0, len) in place, page by page, through
+//     read_page() — fp32 pages are never copied, fp16 pages dequantize one
+//     page at a time into caller scratch. Incremental decode stays bitwise
+//     identical to a full-prefix recompute.
 //   * After a prefill, the prompt's pages are published into a radix tree
 //     keyed by token ids (one node = one page). A later request walks the
 //     tree at admission, adopts every matching page (full-page matches and
@@ -34,7 +44,7 @@
 //
 // Threading contract (matches the serving runtime's phase structure): the
 // pipeline thread calls open_slot/publish/drop_slot/evict between passes;
-// worker threads call append/gather for their own lanes during a pass.
+// worker threads call append/read_page for their own lanes during a pass.
 // Page tables and page payloads are single-writer by construction (a lane
 // belongs to one worker, tree mutations happen only between passes); the
 // shared pool state — free list, refcounts, reservations, counters — is
@@ -62,10 +72,20 @@ struct KvStoreConfig {
   bool prefix_cache = true;  ///< publish/lookup the radix prefix index
 };
 
+/// One cached page as attention reads it (layout in the file comment).
+struct KvPage {
+  const float* k = nullptr;  ///< key-major K half: [row_elems][page_tokens]
+  const float* v = nullptr;  ///< row-major V half: [page_tokens][row_elems]
+  int64_t rows = 0;          ///< tokens of this page inside the read length
+};
+
 /// Pooled paged KV storage with prefix sharing. One instance per pipeline
 /// replica, shared by every attention layer of every stage worker.
 class KvStore {
  public:
+  /// Which halves read_page() must materialise (fp16 pages only).
+  enum Halves : uint8_t { kKeys = 1, kValues = 2, kBoth = 3 };
+
   explicit KvStore(const KvStoreConfig& cfg);
   ~KvStore();
 
@@ -113,11 +133,19 @@ class KvStore {
   /// copying-on-write when the target page is shared. Worker-thread API.
   void append(int lane, int slot, const float* krow, const float* vrow);
 
-  /// Gathers rows [0, len) of `lane`'s cache for `slot` into contiguous
-  /// fp32 panels (`kout` / `vout`, len * row_elems floats each),
-  /// dequantizing fp16 pages. Worker-thread API.
-  void gather(int lane, int slot, int64_t len, float* kout,
-              float* vout) const;
+  /// Page `pi` of `lane`'s cache for `slot`, clipped to the first `len`
+  /// cached tokens: rows = min(page_tokens, len - pi * page_tokens). fp32
+  /// pages are returned in place and `scratch` is unused; fp16 pages
+  /// dequantize the `halves` asked for into `scratch` (page_elems()
+  /// floats, laid out like a page). Throws std::logic_error past the
+  /// cached length. Worker-thread API.
+  KvPage read_page(int lane, int slot, int64_t pi, int64_t len,
+                   float* scratch, Halves halves = kBoth) const;
+
+  /// Elements (floats or halves) per page, both halves: 2 * pg * row.
+  /// Also the read_page() scratch size, in floats.
+  int64_t page_elems() const;
+  bool fp16() const { return cfg_.fp16; }
 
   /// Cached tokens appended (or adopted from the prefix cache) for
   /// (lane, slot). Decode-order validation hook for attention.
@@ -176,9 +204,13 @@ class KvStore {
   void drop_nodes_locked(std::vector<std::unique_ptr<Node>>& nodes);
   bool page_shared(int32_t p) const;
   // Payload access (no lock: single-writer pages).
-  float* k_row32(int32_t page, int row);
-  uint16_t* k_row16(int32_t page, int row);
-  int64_t page_elems() const;  ///< floats (or halves) per page: 2 * pg * row
+  /// Offset of `page`'s first element in data32_ / data16_.
+  int64_t page_offset(int32_t page) const { return page * page_elems(); }
+  /// Bound on one (lane, slot) table's length: admission keeps a slot's
+  /// reserved plus adopted pages within the pool, and every lane holds
+  /// the same number of them, so a lane's share is at most
+  /// pool_pages / lanes (+1 for rounding).
+  int64_t max_table_pages() const;
 
   KvStoreConfig cfg_;
   int lanes_ = 0;

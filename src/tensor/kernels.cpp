@@ -177,6 +177,31 @@ inline void micro_tile_tail_packed(int64_t nv, int64_t kc, const float* ap,
     micro_tile_packed<2>(kc, ap, b, ldb, c, ldc, load_c);
   }
 }
+
+// One-row tile for vecmat: NVt vectors of c over the whole k extent, the
+// micro_step multiply-add with a single broadcast row of A.
+template <int64_t NVt>
+inline void vec_tile(int64_t k, const float* a, const float* b, int64_t ldb,
+                     float* c, bool load_c) {
+  vf acc[NVt];
+  for (int64_t q = 0; q < NVt; ++q) {
+    if (load_c) {
+      std::memcpy(&acc[q], c + VLEN * q, sizeof(vf));
+    } else {
+      acc[q] = vf{};
+    }
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const vf avv = HANAYO_SPLAT(a[kk]);
+    for (int64_t q = 0; q < NVt; ++q) {
+      vf bv;
+      std::memcpy(&bv, b + kk * ldb + VLEN * q, sizeof(vf));
+      acc[q] += avv * bv;
+    }
+  }
+  for (int64_t q = 0; q < NVt; ++q)
+    std::memcpy(c + VLEN * q, &acc[q], sizeof(vf));
+}
 #endif
 
 // Ragged edge tiles (mr < MR and/or nr < NR); same loop structure and the
@@ -336,6 +361,24 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   float* at = pack.data();
   transpose_pack(a, k, m, lda, at);  // k x m -> m x k
   gemm(m, n, k, at, k, b, ldb, c, ldc, accumulate);
+}
+
+void vecmat(int64_t n, int64_t k, const float* a, const float* b,
+            int64_t ldb, float* c, bool accumulate) {
+  int64_t j = 0;
+#ifdef HANAYO_VECTOR_KERNEL
+  for (; j + NR <= n; j += NR)
+    vec_tile<NV>(k, a, b + j, ldb, c + j, accumulate);
+  for (; j + VLEN <= n; j += VLEN)
+    vec_tile<1>(k, a, b + j, ldb, c + j, accumulate);
+#endif
+  // The sub-vector remainder runs gemm's own edge tile. A per-element
+  // scalar loop would not do: GCC may vectorise its products and add them
+  // one by one, which no longer fuses into the FMA gemm uses.
+  for (; j < n; j += NR) {
+    micro_edge(1, std::min(NR, n - j), k, a, k, b + j, ldb, c + j, n,
+               accumulate);
+  }
 }
 
 void set_gemm_pack_a(bool on) {

@@ -40,6 +40,14 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate);
 
+/// c (n) = or += a (k) * B (k x n, ldb): the m = 1 product, vectorised
+/// across c without gemm's packing, k-blocking or scratch. Every element
+/// accumulates one multiply-add per kk in ascending-kk order, starting
+/// from zero (or from c) — the sequence gemm(1, n, k, a, k, b, ldb, c, n,
+/// accumulate) runs — so the two agree bitwise.
+void vecmat(int64_t n, int64_t k, const float* a, const float* b,
+            int64_t ldb, float* c, bool accumulate);
+
 /// dst (cols x rows, dense) = transpose of src (rows x cols, row stride
 /// ld). Cache-blocked; also the packing primitive behind gemm_bt/gemm_at.
 void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,

@@ -306,9 +306,16 @@ TEST(Decode, Fp16KvToggleWithStreamsInFlightThrows) {
 
 namespace {
 
-runtime::KvStoreConfig paged_cfg(const ModelConfig& cfg, bool fp16) {
+/// The serving benchmark's attention shape: head dim 16 (hidden 64 over 4
+/// heads), decoded through 16-token pages.
+const ModelConfig kBenchShape = ModelConfig::tiny(/*layers=*/2, /*hidden=*/64,
+                                                  /*heads=*/4, /*vocab=*/53,
+                                                  /*seq=*/48);
+
+runtime::KvStoreConfig paged_cfg(const ModelConfig& cfg, bool fp16,
+                                 int page_tokens = 4) {
   runtime::KvStoreConfig kc;
-  kc.page_tokens = 4;  // small pages: every stream spans several
+  kc.page_tokens = page_tokens;  // small pages: every stream spans several
   kc.pool_pages = 64;
   kc.row_elems = cfg.hidden;
   kc.max_slots = 4;
@@ -317,23 +324,36 @@ runtime::KvStoreConfig paged_cfg(const ModelConfig& cfg, bool fp16) {
   return kc;
 }
 
+/// Page sizes every paged bitwise test runs: 4 and 5 sit below the SIMD
+/// width (5 is no multiple of it either), so the scores run the scalar
+/// tail; 16 is the benchmark's page.
+struct PagedCase {
+  const ModelConfig* cfg;
+  int page_tokens;
+};
+const PagedCase kPagedCases[] = {{&kTiny, 4}, {&kTiny, 5}, {&kBenchShape, 16}};
+
 /// The correctness anchor, paged: incremental decode through pooled pages
 /// must stay bitwise identical to a full-prefix recompute on a plain
-/// contiguous-cache module. The gather/append copies are memcpy (fp32) or
-/// the same quantize-once/dequantize pair as the contiguous fp16 cache, so
-/// the kernels see byte-identical panels.
-void expect_paged_matches_recompute(bool fp16) {
-  StageModule inc = full_module(kTiny);  // paged, decodes incrementally
-  StageModule ref = full_module(kTiny);  // contiguous, recomputes each step
-  runtime::KvStore store(paged_cfg(kTiny, fp16));
+/// contiguous-cache module. Attention reads the pages in place in the
+/// contiguous kernels' per-element order, and fp16 pages go through the
+/// same quantize-once/dequantize pair as the contiguous fp16 cache.
+void expect_paged_matches_recompute(const ModelConfig& cfg, int page_tokens,
+                                    bool fp16) {
+  SCOPED_TRACE("page_tokens " + std::to_string(page_tokens) + ", hidden " +
+               std::to_string(cfg.hidden));
+  StageModule inc = full_module(cfg);  // paged, decodes incrementally
+  StageModule ref = full_module(cfg);  // contiguous, recomputes each step
+  runtime::KvStore store(paged_cfg(cfg, fp16, page_tokens));
   inc.set_kv_store(&store);
   ref.set_kv_fp16(fp16);
 
   Rng rng(5);
   std::vector<int64_t> seq;
-  for (int i = 0; i < 6; ++i) seq.push_back(rng.index(kTiny.vocab));
+  for (int i = 0; i < 6; ++i) seq.push_back(rng.index(cfg.vocab));
 
-  const int kSteps = 8;
+  // Decode to one short of the positional table: several pages deep.
+  const int kSteps = static_cast<int>(cfg.seq) - 7;
   int64_t shared = -1;
   ASSERT_TRUE(store.open_slot(/*slot=*/0, seq,
                               static_cast<int64_t>(seq.size()) + kSteps,
@@ -368,28 +388,42 @@ void expect_paged_matches_recompute(bool fp16) {
 }  // namespace
 
 TEST(Decode, PagedKvMatchesFullPrefixRecomputeBitwise) {
-  expect_paged_matches_recompute(/*fp16=*/false);
+  for (const PagedCase& c : kPagedCases) {
+    expect_paged_matches_recompute(*c.cfg, c.page_tokens, /*fp16=*/false);
+  }
 }
 
 TEST(Decode, PagedFp16KvMatchesFp16FullPrefixRecomputeBitwise) {
-  expect_paged_matches_recompute(/*fp16=*/true);
+  for (const PagedCase& c : kPagedCases) {
+    expect_paged_matches_recompute(*c.cfg, c.page_tokens, /*fp16=*/true);
+  }
 }
 
-TEST(Decode, PagedSharedPrefixDecodesBitwiseIdenticalToUnshared) {
-  // Two prompts with a common head through one store: the second adopts
-  // the first's published pages and skips their prefill, yet its logits
-  // equal an unshared full prefill bit-for-bit — K/V rows at a position
-  // depend only on the token prefix, so adopted rows ARE the rows the
-  // skipped prefill would have produced.
+namespace {
+
+/// Two prompts with a common head through one store: the second adopts
+/// the first's published pages and skips their prefill, yet its logits
+/// equal an unshared full prefill bit-for-bit — K/V rows at a position
+/// depend only on the token prefix, so adopted rows ARE the rows the
+/// skipped prefill would have produced. The adopted tail page is shared,
+/// so the first append copies it (copy-on-write); decode then continues
+/// token by token, each step checked against a full-prefix recompute.
+void expect_shared_prefix_decode(int page_tokens, bool fp16,
+                                 const std::vector<int64_t>& b_suffix) {
+  SCOPED_TRACE("page_tokens " + std::to_string(page_tokens) +
+               (fp16 ? ", fp16" : ", fp32") + ", suffix " +
+               std::to_string(b_suffix.size()));
   StageModule paged = full_module(kTiny);
-  runtime::KvStore store(paged_cfg(kTiny, false));
+  runtime::KvStore store(paged_cfg(kTiny, fp16, page_tokens));
   paged.set_kv_store(&store);
   StageModule plain = full_module(kTiny);
+  plain.set_kv_fp16(fp16);
 
   const std::vector<int64_t> head = {7, 3, 11, 5, 2, 9};  // shared system head
   std::vector<int64_t> a = head, b = head;
   a.insert(a.end(), {13, 4});
-  b.insert(b.end(), {1, 8});
+  b.insert(b.end(), b_suffix.begin(), b_suffix.end());
+  const int kSteps = 6;
 
   ASSERT_TRUE(store.open_slot(0, a, static_cast<int64_t>(a.size()) + 1,
                               nullptr));
@@ -398,24 +432,48 @@ TEST(Decode, PagedSharedPrefixDecodesBitwiseIdenticalToUnshared) {
   store.drop_slot(0);
 
   int64_t shared = -1;
-  ASSERT_TRUE(store.open_slot(1, b, static_cast<int64_t>(b.size()) + 1,
+  ASSERT_TRUE(store.open_slot(1, b,
+                              static_cast<int64_t>(b.size()) + kSteps,
                               &shared));
   EXPECT_EQ(shared, static_cast<int64_t>(head.size()));
   EXPECT_EQ(store.prefix_hit_tokens(), static_cast<int64_t>(head.size()));
   // Prefill only the unshared suffix, positions [shared, b.size()).
   std::vector<int64_t> tail(b.begin() + shared, b.end());
   Tensor y_shared = paged.decode(ids_tensor(tail), shared, 1);
-  Tensor y_plain = plain.decode(ids_tensor(b), 0, 0);
 
-  const int64_t V = y_plain.size(2);
-  const float* row_s = y_shared.data() + (y_shared.size(1) - 1) * V;
-  const float* row_p = y_plain.data() + (y_plain.size(1) - 1) * V;
-  for (int64_t v = 0; v < V; ++v) {
-    ASSERT_EQ(row_s[v], row_p[v]) << "logit " << v;
+  for (int step = 0; step <= kSteps; ++step) {
+    plain.drop_slot(0);
+    Tensor y_plain = plain.decode(ids_tensor(b), 0, 0);
+    const int64_t V = y_plain.size(2);
+    const float* row_s = y_shared.data() + (y_shared.size(1) - 1) * V;
+    const float* row_p = y_plain.data() + (y_plain.size(1) - 1) * V;
+    for (int64_t v = 0; v < V; ++v) {
+      ASSERT_EQ(row_s[v], row_p[v]) << "step " << step << " logit " << v;
+    }
+    if (step == kSteps) break;
+    int64_t best = 0;
+    for (int64_t v = 1; v < V; ++v) {
+      if (row_p[v] > row_p[best]) best = v;
+    }
+    b.push_back(best);
+    y_shared = paged.decode(ids_tensor({best}),
+                            static_cast<int64_t>(b.size()) - 1, 1);
   }
   store.drop_slot(1);
   store.clear_prefix_cache();
   EXPECT_EQ(store.pages_in_use(), 0);
+}
+
+}  // namespace
+
+TEST(Decode, PagedSharedPrefixDecodesBitwiseIdenticalToUnshared) {
+  expect_shared_prefix_decode(4, /*fp16=*/false, {1, 8});
+  // A one-token suffix: the adopted tail page is copied by a decode-shaped
+  // (t = 1) call at a mid-page offset, then decode continues in the copy.
+  expect_shared_prefix_decode(4, /*fp16=*/false, {1});
+  expect_shared_prefix_decode(5, /*fp16=*/false, {1});
+  expect_shared_prefix_decode(16, /*fp16=*/false, {1});
+  expect_shared_prefix_decode(5, /*fp16=*/true, {1});
 }
 
 TEST(Decode, PagedDecodeRejectsBatchesAndOutOfOrderPositions) {

@@ -11,8 +11,8 @@
 //
 // Methodology: two drains on a warmed pipeline that differ only in their
 // continuation length, so setup, prefill, admission and completion costs
-// cancel exactly and the quotient is the marginal cost of one pure decode
-// pass. The training probe uses the same differential trick over
+// cancel exactly and the difference is the marginal cost of the extra pure
+// decode passes. The training probe uses the same differential trick over
 // train_step() calls; its budget is measured-and-ratcheted rather than
 // zero (PipeDream weight stashing and optimizer-state maps keep a small
 // per-step node churn that is not on the serving latency path).
@@ -100,13 +100,16 @@ void expect_decode_pass_within_budget(const InferConfig& cfg) {
   const AllocStats a = drain_with(kShort);
   const AllocStats b = drain_with(kLong);
 
-  // The runs differ by exactly (kLong - kShort) pure decode passes.
+  // The runs differ by exactly (kLong - kShort) pure decode passes. The
+  // raw differential is what gets checked: a per-pass quotient in integer
+  // arithmetic would hide up to extra_passes - 1 stray allocations (an
+  // allocation every few pages, say).
   const int64_t extra_passes = kLong - kShort;
-  const int64_t per_pass = (b.allocs - a.allocs) / extra_passes;
+  const int64_t extra_allocs = b.allocs - a.allocs;
 
-  ::testing::Test::RecordProperty("allocs_per_decode_pass",
-                                  static_cast<int>(per_pass));
-  EXPECT_LE(per_pass, kDecodePassAllocBudget)
+  ::testing::Test::RecordProperty("allocs_over_extra_decode_passes",
+                                  static_cast<int>(extra_allocs));
+  EXPECT_LE(extra_allocs, kDecodePassAllocBudget)
       << "steady-state decode hit the heap; every pass-lifetime buffer "
          "must come from the arena (see core/hanayo.hpp contributor "
          "rules). Diagnose with tensor::alloc_stats_trace(true) around "
@@ -137,10 +140,11 @@ TEST(AllocDecode, SteadyStateDecodePassStaysWithinBudget) {
 }
 
 TEST(AllocDecode, PagedSteadyStateDecodePassStaysWithinBudget) {
-  // Zero budget with the paged KV store on the hot path too: page-table
-  // lookups must not allocate in steady state — appends pop the
-  // pre-reserved free list, gathers fill member scratch panels that grow
-  // geometrically and then stay put.
+  // Zero budget with the paged KV store on the hot path too: appends pop
+  // the pre-reserved free list into page tables pre-sized at the slot's
+  // first open, and attention reads the pages in place. The longer drain
+  // crosses two more page boundaries than the shorter one, so a page table
+  // growing on demand would show here.
   InferConfig cfg = tiny_serving_config();
   cfg.paged_kv = true;
   cfg.kv_page_tokens = 16;

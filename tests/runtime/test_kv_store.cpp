@@ -7,8 +7,9 @@
 //   * O(1) pool alloc/free with exact reservation accounting — open_slot
 //     either reserves the worst case up front or fails with NO state
 //     change, and an admitted stream can never exhaust the pool mid-decode;
-//   * bitwise round-trips — fp32 pages via memcpy, fp16 pages through the
-//     same quantize-once/dequantize pair as the contiguous cache;
+//   * bitwise round-trips — fp32 pages read in place (key-major K half,
+//     row-major V half), fp16 pages through the same
+//     quantize-once/dequantize pair as the contiguous cache;
 //   * prefix sharing — published pages are adopted by later prompts with a
 //     common head (full-page matches plus a partial tail match), and
 //     copy-on-write keeps every shared page immutable under divergence;
@@ -16,13 +17,14 @@
 //     frees exactly the unreferenced ones, and after drop + clear the pool
 //     returns to pages_in_use() == 0 (the paged leak probe).
 //
-// The storm test runs the full open/append/publish/gather/drop cycle from
+// The storm test runs the full open/append/publish/read/drop cycle from
 // concurrent threads (one slot each, all lanes) — the same phase structure
 // the serving runtime uses — and is sized through tests/common/scale.hpp
 // so the TSan leg keeps it meaningful without dominating CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -78,16 +80,36 @@ void append_rows(KvStore& store, int slot, int64_t from, int64_t to) {
   }
 }
 
-/// Gathers [0, len) on every lane and checks each row against the
+/// Reads rows [0, len) of (lane, slot) page by page through read_page and
+/// unpacks them into token-major panels (`k` / `v`, len * kRow floats).
+void read_rows(const KvStore& store, int lane, int slot, int64_t len,
+               std::vector<float>& k, std::vector<float>& v) {
+  k.assign(static_cast<size_t>(len * kRow), 0.0f);
+  v.assign(k.size(), 0.0f);
+  std::vector<float> scratch(static_cast<size_t>(store.page_elems()));
+  for (int64_t pi = 0; pi * kPg < len; ++pi) {
+    const runtime::KvPage page =
+        store.read_page(lane, slot, pi, len, scratch.data());
+    EXPECT_EQ(page.rows, std::min<int64_t>(kPg, len - pi * kPg));
+    for (int64_t r = 0; r < page.rows; ++r) {
+      for (int64_t i = 0; i < kRow; ++i) {
+        const size_t at = static_cast<size_t>((pi * kPg + r) * kRow + i);
+        k[at] = page.k[i * kPg + r];  // key-major K half
+        v[at] = page.v[r * kRow + i];  // row-major V half
+      }
+    }
+  }
+}
+
+/// Reads [0, len) on every lane and checks each row against the
 /// canonical content (bitwise for fp32; through the half round-trip for
 /// fp16 — exact here because the canonical values are fp16-representable).
 ::testing::AssertionResult rows_match(const KvStore& store, int slot,
                                       int64_t len) {
-  std::vector<float> k(static_cast<size_t>(len * kRow));
-  std::vector<float> v(k.size());
+  std::vector<float> k, v;
   std::vector<float> ek, ev;
   for (int lane = 0; lane < store.lanes(); ++lane) {
-    store.gather(lane, slot, len, k.data(), v.data());
+    read_rows(store, lane, slot, len, k, v);
     for (int64_t pos = 0; pos < len; ++pos) {
       fill_row(pos, ek, ev);
       for (int64_t i = 0; i < kRow; ++i) {
@@ -124,7 +146,7 @@ TEST(KvStore, PagesNeededPricesWorstCasePerLane) {
   EXPECT_EQ(bare.pages_needed(8, 0), 2);  // no cache, no spare
 }
 
-TEST(KvStore, AppendGatherRoundTripsBitwiseAcrossPages) {
+TEST(KvStore, AppendReadRoundTripsBitwiseAcrossPages) {
   KvStore store(store_cfg(/*pool_pages=*/8));
   (void)store.register_lane();
   int64_t shared = -1;
@@ -133,8 +155,16 @@ TEST(KvStore, AppendGatherRoundTripsBitwiseAcrossPages) {
   append_rows(store, 0, 0, 10);
   EXPECT_EQ(store.lane_len(0, 0), 10);
   EXPECT_TRUE(rows_match(store, 0, 10));
-  EXPECT_TRUE(rows_match(store, 0, 5));  // partial gather mid-page
-  EXPECT_THROW(store.gather(0, 0, 11, nullptr, nullptr), std::logic_error);
+  EXPECT_TRUE(rows_match(store, 0, 5));  // partial read mid-page
+  // fp32 pages are read in place: no scratch needed, none touched.
+  const runtime::KvPage p1 = store.read_page(0, 0, 1, 10, nullptr);
+  EXPECT_EQ(p1.rows, kPg);
+  EXPECT_EQ(p1.k[0], 4.0f);  // token 4, elem 0
+  EXPECT_EQ(p1.k[kPg], 4.5f);  // token 4, elem 1: next key dimension
+  EXPECT_EQ(p1.v[kRow], -5.0f);  // token 5, elem 0: next V row
+  EXPECT_EQ(store.read_page(0, 0, 2, 10, nullptr).rows, 2);
+  EXPECT_THROW(store.read_page(0, 0, 0, 11, nullptr), std::logic_error);
+  EXPECT_THROW(store.read_page(0, 0, 3, 10, nullptr), std::logic_error);
   EXPECT_EQ(store.pages_in_use(), 3);  // ceil(10/4)
   EXPECT_EQ(store.bytes_in_use(), 3 * store.page_bytes());
   store.drop_slot(0);
@@ -142,13 +172,13 @@ TEST(KvStore, AppendGatherRoundTripsBitwiseAcrossPages) {
   EXPECT_EQ(store.free_pages(), 8);
 }
 
-TEST(KvStore, Fp16PagesQuantizeOnceAndGatherExactly) {
+TEST(KvStore, Fp16PagesQuantizeOnceAndReadExactly) {
   KvStore store(store_cfg(/*pool_pages=*/8, /*fp16=*/true));
   (void)store.register_lane();
   ASSERT_TRUE(store.open_slot(0, {}, 10, nullptr));
   append_rows(store, 0, 0, 10);
   // Canonical content is binary16-representable, so the quantize/dequantize
-  // pair is exact; a second gather returns the identical bits (rows
+  // pair is exact; a second read returns the identical bits (rows
   // quantize on append, once, never re-quantize on read).
   EXPECT_TRUE(rows_match(store, 0, 10));
   EXPECT_TRUE(rows_match(store, 0, 10));
@@ -159,11 +189,18 @@ TEST(KvStore, Fp16PagesQuantizeOnceAndGatherExactly) {
   std::vector<float> k(static_cast<size_t>(kRow), 0.1f);
   std::vector<float> v(static_cast<size_t>(kRow), 0.2f);
   store.append(0, 0, k.data(), v.data());
-  std::vector<float> gk(static_cast<size_t>(11 * kRow));
-  std::vector<float> gv(gk.size());
-  store.gather(0, 0, 11, gk.data(), gv.data());
+  std::vector<float> gk, gv;
+  read_rows(store, 0, 0, 11, gk, gv);
   EXPECT_EQ(gk[static_cast<size_t>(10 * kRow)],
             tensor::half_to_float(tensor::float_to_half(0.1f)));
+  EXPECT_EQ(gv[static_cast<size_t>(10 * kRow)],
+            tensor::half_to_float(tensor::float_to_half(0.2f)));
+  // A one-half read dequantizes that half only; the other stays untouched.
+  std::vector<float> scratch(static_cast<size_t>(store.page_elems()), 7.0f);
+  const runtime::KvPage keys =
+      store.read_page(0, 0, 2, 11, scratch.data(), KvStore::kKeys);
+  EXPECT_EQ(keys.k[2], gk[static_cast<size_t>(10 * kRow)]);
+  EXPECT_EQ(keys.v[0], 7.0f);
   store.drop_slot(0);
   EXPECT_EQ(store.pages_in_use(), 0);
 }
@@ -302,6 +339,74 @@ TEST(KvStore, CopyOnWriteLeavesSharedPagesImmutable) {
   EXPECT_EQ(store.slot_ref_pages(), 0);
 }
 
+TEST(KvStore, CopyOnWriteClonesOwnedRowsOfBothHalves) {
+  for (const bool fp16 : {false, true}) {
+    KvStore store(store_cfg(/*pool_pages=*/32, fp16));
+    (void)store.register_lane();
+    const auto prompt = ids({1, 2, 3, 4, 5, 6});
+    ASSERT_TRUE(store.open_slot(0, prompt, 8, nullptr));
+    append_rows(store, 0, 0, 6);
+    store.publish(0, prompt);
+    store.drop_slot(0);
+
+    // Adopt the 6-token head (its tail page holds 2 of 4 tokens), then
+    // snapshot that shared page before the divergent append copies it.
+    int64_t shared = -1;
+    ASSERT_TRUE(store.open_slot(1, ids({1, 2, 3, 4, 5, 6, 7}), 9, &shared));
+    ASSERT_EQ(shared, 6);
+    const int64_t pf = store.page_elems();
+    std::vector<float> before(static_cast<size_t>(pf));
+    const runtime::KvPage orig = store.read_page(0, 1, 1, 6, before.data());
+    const std::vector<float> orig_k(orig.k, orig.k + pf / 2);
+    const std::vector<float> orig_v(orig.v, orig.v + pf / 2);
+    // Tokens [0, 2) of `p` equal the snapshot, K and V halves alike.
+    const auto owned_rows_equal = [&](const runtime::KvPage& p) {
+      for (int64_t i = 0; i < kRow; ++i) {
+        for (int64_t r = 0; r < 2; ++r) {
+          const int64_t ka = i * kPg + r, va = r * kRow + i;
+          if (p.k[ka] != orig_k[static_cast<size_t>(ka)] ||
+              p.v[va] != orig_v[static_cast<size_t>(va)]) {
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+
+    std::vector<float> k, v;
+    fill_row(6, k, v);
+    for (float& x : k) x += 100.0f;  // diverges from the published content
+    store.append(0, 1, k.data(), v.data());
+
+    // The private copy: its first off = 2 tokens equal the shared original
+    // in both halves, and token 2 is the new row.
+    std::vector<float> mine_buf(static_cast<size_t>(pf));
+    const runtime::KvPage mine = store.read_page(0, 1, 1, 7, mine_buf.data());
+    ASSERT_EQ(mine.rows, 3);
+    EXPECT_TRUE(owned_rows_equal(mine));
+    for (int64_t i = 0; i < kRow; ++i) {
+      EXPECT_EQ(mine.k[i * kPg + 2], k[static_cast<size_t>(i)]);
+      EXPECT_EQ(mine.v[2 * kRow + i], v[static_cast<size_t>(i)]);
+    }
+    if (!fp16) {
+      EXPECT_NE(mine.k, orig.k);  // a different pool page
+    }
+
+    // The shared original is unchanged: a new adopter's tail page still
+    // holds the snapshot bits.
+    ASSERT_TRUE(store.open_slot(2, ids({1, 2, 3, 4, 5, 6, 8}), 9, &shared));
+    ASSERT_EQ(shared, 6);
+    EXPECT_TRUE(rows_match(store, 2, 6));
+    std::vector<float> after(static_cast<size_t>(pf));
+    EXPECT_TRUE(owned_rows_equal(store.read_page(0, 2, 1, 6, after.data())));
+
+    store.drop_slot(1);
+    store.drop_slot(2);
+    store.clear_prefix_cache();
+    EXPECT_EQ(store.pages_in_use(), 0);
+  }
+}
+
 TEST(KvStore, PublishUpgradesACachedPartialTailInPlace) {
   KvStore store(store_cfg(32));
   (void)store.register_lane();
@@ -353,7 +458,7 @@ TEST(KvStore, EvictionSparesPagesReferencedByOpenSlots) {
 namespace {
 
 /// One thread of the storm: cycles open → append → publish → decode-append
-/// → gather-verify → drop on its own slot, with prompts drawn from a tiny
+/// → read-verify → drop on its own slot, with prompts drawn from a tiny
 /// vocabulary so prefix sharing, COW and upgrades happen constantly.
 void storm_thread(KvStore& store, int slot, int iters, uint64_t seed,
                   std::atomic<int64_t>& successes,
@@ -382,11 +487,10 @@ void storm_thread(KvStore& store, int slot, int iters, uint64_t seed,
       if (pos + 1 == len) store.publish(slot, prompt);
     }
     // Verify the full stream — adopted, COW'd and fresh rows alike.
-    std::vector<float> gk(static_cast<size_t>(final_len * kRow));
-    std::vector<float> gv(gk.size());
+    std::vector<float> gk, gv;
     std::vector<float> ek, ev;
     for (int lane = 0; lane < store.lanes(); ++lane) {
-      store.gather(lane, slot, final_len, gk.data(), gv.data());
+      read_rows(store, lane, slot, final_len, gk, gv);
       for (int64_t pos = 0; pos < final_len; ++pos) {
         fill_row(pos, ek, ev);
         if (gk[static_cast<size_t>(pos * kRow)] != ek[0] ||

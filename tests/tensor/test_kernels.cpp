@@ -196,6 +196,33 @@ TEST(Kernels, PackToggleIsBitIdentical) {
   ht::kernels::set_gemm_pack_a(saved);
 }
 
+TEST(Kernels, VecmatIsBitIdenticalToSingleRowGemm) {
+  // Paged attention's scores and probs x V run vecmat on strided page
+  // panels; the paged ≡ contiguous decode identity rests on it matching
+  // gemm's m = 1 path bit for bit, overwrite and accumulate alike. Widths
+  // cover the scalar tail (n < one vector), one and several vectors, and
+  // ragged remainders; k = 300 spans a KC boundary.
+  ht::Rng rng(29);
+  const Mnk shapes[] = {{1, 1, 1},  {1, 5, 16},   {1, 16, 16}, {1, 17, 7},
+                        {1, 48, 3}, {1, 53, 300}, {1, 64, 16}};
+  for (const auto& s : shapes) {
+    const int64_t ldb = s.n + 3;  // strided, like a head slice of a page
+    ht::Tensor a = rng.randn({s.k});
+    ht::Tensor b = rng.randn({s.k, ldb});
+    ht::Tensor c0 = rng.randn({s.n});
+    for (const bool acc : {false, true}) {
+      ht::Tensor want = c0, got = c0;  // value copies
+      ht::kernels::gemm(1, s.n, s.k, a.data(), s.k, b.data(), ldb,
+                        want.data(), s.n, acc);
+      ht::kernels::vecmat(s.n, s.k, a.data(), b.data(), ldb, got.data(), acc);
+      for (int64_t j = 0; j < s.n; ++j) {
+        ASSERT_EQ(want[j], got[j]) << "n=" << s.n << " k=" << s.k
+                                   << " acc=" << acc << " j=" << j;
+      }
+    }
+  }
+}
+
 TEST(Kernels, RowWiseOpsBitIdenticalAcrossThreadCounts) {
   ht::Rng rng(16);
   ht::Tensor x = rng.randn({129, 65});
