@@ -78,14 +78,28 @@ static void BM_MatmulBt(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulBt)->Arg(64);
 
+// The elementwise and row-wise benches report items = elements, so the
+// per-element cost reads straight off the items_per_second counter.
 static void BM_Softmax(benchmark::State& state) {
   ht::Rng rng(2);
   ht::Tensor a = rng.randn({256, 256});
   for (auto _ : state) {
     benchmark::DoNotOptimize(ht::softmax_lastdim(a));
   }
+  state.SetItemsProcessed(state.iterations() * 256 * 256);
 }
 BENCHMARK(BM_Softmax);
+
+// Decode-shaped: 4 heads' score rows at 224 tokens of context.
+static void BM_SoftmaxDecode(benchmark::State& state) {
+  ht::Rng rng(2);
+  ht::Tensor a = rng.randn({4, 224});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ht::softmax_lastdim(a));
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * 224);
+}
+BENCHMARK(BM_SoftmaxDecode);
 
 static void BM_Gelu(benchmark::State& state) {
   ht::Rng rng(3);
@@ -93,8 +107,20 @@ static void BM_Gelu(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ht::gelu(a));
   }
+  state.SetItemsProcessed(state.iterations() * (1 << 16));
 }
 BENCHMARK(BM_Gelu);
+
+static void BM_GeluGrad(benchmark::State& state) {
+  ht::Rng rng(3);
+  ht::Tensor x = rng.randn({1 << 16});
+  ht::Tensor dy = rng.randn({1 << 16});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ht::gelu_grad(x, dy));
+  }
+  state.SetItemsProcessed(state.iterations() * (1 << 16));
+}
+BENCHMARK(BM_GeluGrad);
 
 static void BM_Randn(benchmark::State& state) {
   ht::Rng rng(4);

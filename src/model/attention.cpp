@@ -46,23 +46,6 @@ MultiHeadAttention::MultiHeadAttention(std::string name, int64_t hidden,
 namespace {
 constexpr int64_t kRowBlock = 64;
 
-/// Scale + softmax of one score row over its visible columns [0, jmax).
-/// Every attention path runs this one routine, so training, contiguous
-/// and paged decode share the exact arithmetic.
-void softmax_row(float* prow, int64_t jmax, float scale) {
-  float mx = -1e30f;
-  for (int64_t j = 0; j < jmax; ++j) {
-    prow[j] *= scale;
-    mx = std::max(mx, prow[j]);
-  }
-  double denom = 0.0;
-  for (int64_t j = 0; j < jmax; ++j) {
-    prow[j] = std::exp(prow[j] - mx);
-    denom += prow[j];
-  }
-  const float inv = static_cast<float>(1.0 / denom);
-  for (int64_t j = 0; j < jmax; ++j) prow[j] *= inv;
-}
 }  // namespace
 
 Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
@@ -95,7 +78,7 @@ Tensor MultiHeadAttention::forward(const Tensor& x, int mb) {
         for (int64_t i = i0; i < i1; ++i) {
           float* prow = prob + i * t;
           const int64_t jmax = causal ? i + 1 : t;
-          softmax_row(prow, jmax, scale);
+          kernels::softmax_row(prow, jmax, scale);
           for (int64_t j = jmax; j < t; ++j) prow[j] = 0.0f;
         }
         // context = probs @ V over the visible columns only
@@ -318,7 +301,7 @@ Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
         // scores = q_r K^T over the visible prefix (strided cache panel)
         kernels::gemm_bt(1, jmax, dk, q + r * h3, h3, kc, row, prow, total,
                          false);
-        softmax_row(prow, jmax, scale);
+        kernels::softmax_row(prow, jmax, scale);
         // context = probs @ V over the visible prefix
         kernels::gemm(1, dk, jmax, prow, total, vc, row,
                       ctxp + (n * t + r) * hidden + hh * dk, hidden, false);
@@ -390,7 +373,7 @@ Tensor MultiHeadAttention::attend_paged(const Tensor& qkv, int64_t pos0,
     }
     for (int64_t hh = h0; hh < h1; ++hh) {
       for (int64_t r = 0; r < t; ++r) {
-        softmax_row(probsp + (hh * t + r) * total, extent(r), scale);
+        kernels::softmax_row(probsp + (hh * t + r) * total, extent(r), scale);
       }
     }
     // context = probs V, page by page; page 0 opens every row's sum

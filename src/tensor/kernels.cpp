@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -51,10 +52,11 @@ std::atomic<bool> g_pack_a{true};
 // column j of C, so each element still accumulates one multiply-add per kk
 // in ascending-kk order, the same sequence as the scalar edge kernel.
 // `noinline` keeps the register allocation of this leaf isolated from the
-// caller's loop nest. On compilers without the extension the scalar edge
-// kernel below handles everything.
-#if defined(__GNUC__) || defined(__clang__)
-#define HANAYO_VECTOR_KERNEL 1
+// caller's loop nest. The vector math further down has no scalar form, so
+// the extension is required.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "tensor/kernels.cpp needs the GCC/Clang vector extension"
+#endif
 typedef float vf __attribute__((vector_size(VLEN * sizeof(float)),
                                 aligned(alignof(float))));
 
@@ -202,7 +204,116 @@ inline void vec_tile(int64_t k, const float* a, const float* b, int64_t ldb,
   for (int64_t q = 0; q < NVt; ++q)
     std::memcpy(c + VLEN * q, &acc[q], sizeof(vf));
 }
+
+// ---- Vector math: tanh, exp and the array kernels built on them ---------
+// Every routine here runs lane-wise on vf values with no lane-dependent
+// branch, and the array kernels route the sub-vector tail through the
+// same code on a zero-padded vector. An element's result therefore
+// depends only on its own input — never on its index, on the parallel_for
+// chunk it lands in or on the thread count — which keeps every bitwise
+// identity (Threads ≡ Reference, paged ≡ contiguous, incremental ≡
+// full-prefix, 1 ≡ N threads) true by construction. No libm call, no
+// -ffast-math. Results are written through an out-reference for the same
+// -Wpsabi reason HANAYO_SPLAT is a macro.
+typedef int32_t vi __attribute__((vector_size(VLEN * sizeof(int32_t)),
+                                  aligned(alignof(int32_t))));
+
+// tanh: Eigen's clamped rational minimax (generic_fast_tanh_float), an odd
+// degree-13 numerator over an even degree-6 denominator. |x| < 4e-4
+// returns x and |x| >= 9 returns ±1 exactly (float tanh rounds to ±1
+// there, and GELU's gradient needs 1 - t*t to vanish). A NaN fails every
+// comparison and stays NaN.
+inline void vtanh(const vf& in, vf& out) {
+  const vf hi = HANAYO_SPLAT(7.90531110763549805f);
+  const vf one = HANAYO_SPLAT(1.0f);
+  vf x = in > hi ? hi : in;
+  x = x < -hi ? -hi : x;
+  const vf x2 = x * x;
+  vf p = x2 * -2.76076847742355e-16f + 2.00018790482477e-13f;
+  p = x2 * p + -8.60467152213735e-11f;
+  p = x2 * p + 5.12229709037114e-08f;
+  p = x2 * p + 1.48572235717979e-05f;
+  p = x2 * p + 6.37261928875436e-04f;
+  p = x2 * p + 4.89352455891786e-03f;
+  p = x * p;
+  vf q = x2 * 1.19825839466702e-06f + 1.18534705686654e-04f;
+  q = x2 * q + 2.26843463243900e-03f;
+  q = x2 * q + 4.89352518554385e-03f;
+  const vf ax = in < 0.0f ? -in : in;
+  const vf sat = in < 0.0f ? -one : one;
+  out = ax < 4e-4f ? in : (ax >= 9.0f ? sat : p / q);
+}
+
+// exp: the Cephes expf scheme. n = round(x log2 e); r = x - n ln2 with ln2
+// split in two (Cody-Waite); exp(r) from a degree-5 polynomial; 2^n
+// written straight into the exponent bits. Inputs are clamped to ±88.376
+// first, so below about -87.3 the result flushes to 0 rather than to a
+// denormal; a NaN lane is clamped too (keeping the int conversion in
+// range) and restored at the end.
+inline void vexp(const vf& in, vf& out) {
+  const vf lim = HANAYO_SPLAT(88.3762626647949f);
+  vf x = in < lim ? in : lim;
+  x = x > -lim ? x : -lim;
+  // floor(x log2 e + 1/2): truncate, then step down where that rounded up.
+  const vf fx = x * 1.44269504088896341f + 0.5f;
+  vi n = __builtin_convertvector(fx, vi);
+  const vi up = __builtin_convertvector(n, vf) > fx;  // -1 where true
+  n += up;
+  const vf fn = __builtin_convertvector(n, vf);
+  x = x - fn * 0.693359375f;
+  x = x - fn * -2.12194440e-4f;
+  const vf z = x * x;
+  vf y = x * 1.9875691500e-4f + 1.3981999507e-3f;
+  y = y * x + 8.3334519073e-3f;
+  y = y * x + 4.1665795894e-2f;
+  y = y * x + 1.6666665459e-1f;
+  y = y * x + 5.0000001201e-1f;
+  y = y * z + x + 1.0f;
+  const vi bits = (n + 127) << 23;  // 2^n; n = -127 gives +0
+  vf pow2n;
+  std::memcpy(&pow2n, &bits, sizeof(vf));
+  out = in == in ? y * pow2n : in;
+}
+
+// op(a, b, y) over nvec whole vectors. One out-of-line copy serves both
+// the body and the padded tail of map_lanes, so the two cannot be
+// scheduled or contracted differently. Plain noinline is not enough on
+// GCC: constant propagation would clone a copy for the tail's nvec = 1.
+#if defined(__clang__)
+#define HANAYO_ONE_COPY __attribute__((noinline))
+#else
+#define HANAYO_ONE_COPY __attribute__((noipa))
 #endif
+template <typename Op>
+HANAYO_ONE_COPY void lanes(int64_t nvec, const float* a, const float* b,
+                           float* y, const Op& op) {
+  for (int64_t v = 0; v < nvec; ++v) {
+    vf va, vb, vy;
+    std::memcpy(&va, a + v * VLEN, sizeof(vf));
+    std::memcpy(&vb, b + v * VLEN, sizeof(vf));
+    op(va, vb, vy);
+    std::memcpy(y + v * VLEN, &vy, sizeof(vf));
+  }
+}
+
+// y[i] = op(a[i], b[i]) for i in [0, n); y may alias a or b. The
+// sub-vector tail is staged through zero-padded vectors.
+template <typename Op>
+void map_lanes(int64_t n, const float* a, const float* b, float* y,
+               const Op& op) {
+  const int64_t body = n / VLEN;
+  lanes(body, a, b, y, op);
+  const int64_t i = body * VLEN;
+  if (i == n) return;
+  float ta[VLEN] = {}, tb[VLEN] = {}, ty[VLEN];
+  const size_t rest = static_cast<size_t>(n - i) * sizeof(float);
+  std::memcpy(ta, a + i, rest);
+  std::memcpy(tb, b + i, rest);
+  lanes(1, ta, tb, ty, op);
+  std::memcpy(y + i, ty, rest);
+}
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
 // Ragged edge tiles (mr < MR and/or nr < NR); same loop structure and the
 // same ascending-kk order per element.
@@ -257,17 +368,12 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
     }
     return;
   }
-#ifdef HANAYO_VECTOR_KERNEL
   const int64_t full_blocks =
       (g_pack_a.load(std::memory_order_relaxed) && k >= kPackMinK &&
        n >= VLEN)
           ? (i1 - i0) / MR
           : 0;
-#else
-  const int64_t full_blocks = 0;
-#endif
   ScratchBuffer apack(full_blocks * k * MR, pack_fallback_a());
-#ifdef HANAYO_VECTOR_KERNEL
   if (full_blocks > 0) {
     for (int64_t blk = 0; blk < full_blocks; ++blk) {
       const float* src = a + (i0 + blk * MR) * lda;
@@ -276,7 +382,6 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
         for (int64_t r = 0; r < MR; ++r) panel[kk * MR + r] = src[r * lda + kk];
     }
   }
-#endif
   for (int64_t kb = 0; kb < k; kb += KC) {
     const int64_t kc = std::min(KC, k - kb);
     const bool load_c = accumulate || kb > 0;
@@ -286,7 +391,6 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
       const float* bpanel = b + kb * ldb;
       float* crow = c + i * ldc;
       int64_t j = 0;
-#ifdef HANAYO_VECTOR_KERNEL
       if (mr == MR) {
         const int64_t blk = (i - i0) / MR;
         if (blk < full_blocks) {
@@ -312,7 +416,6 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
           }
         }
       }
-#endif
       // Ragged rows (m % MR) and the sub-vector column remainder.
       for (; j < n; j += NR) {
         micro_edge(mr, std::min(NR, n - j), kc, apanel, lda, bpanel + j, ldb,
@@ -366,12 +469,10 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void vecmat(int64_t n, int64_t k, const float* a, const float* b,
             int64_t ldb, float* c, bool accumulate) {
   int64_t j = 0;
-#ifdef HANAYO_VECTOR_KERNEL
   for (; j + NR <= n; j += NR)
     vec_tile<NV>(k, a, b + j, ldb, c + j, accumulate);
   for (; j + VLEN <= n; j += VLEN)
     vec_tile<1>(k, a, b + j, ldb, c + j, accumulate);
-#endif
   // The sub-vector remainder runs gemm's own edge tile. A per-element
   // scalar loop would not do: GCC may vectorise its products and add them
   // one by one, which no longer fuses into the FMA gemm uses.
@@ -379,6 +480,63 @@ void vecmat(int64_t n, int64_t k, const float* a, const float* b,
     micro_edge(1, std::min(NR, n - j), k, a, k, b + j, ldb, c + j, n,
                accumulate);
   }
+}
+
+void tanh(int64_t n, const float* x, float* y) {
+  map_lanes(n, x, x, y,
+            [](const vf& v, const vf&, vf& out) { vtanh(v, out); });
+}
+
+void exp(int64_t n, const float* x, float* y) {
+  map_lanes(n, x, x, y,
+            [](const vf& v, const vf&, vf& out) { vexp(v, out); });
+}
+
+void gelu(int64_t n, const float* x, float* y) {
+  map_lanes(n, x, x, y, [](const vf& v, const vf&, vf& out) {
+    vf t;
+    vtanh(kGeluC * (v + 0.044715f * v * v * v), t);
+    out = 0.5f * v * (1.0f + t);
+  });
+}
+
+void gelu_grad(int64_t n, const float* x, const float* dy, float* dx) {
+  map_lanes(n, x, dy, dx, [](const vf& v, const vf& g, vf& out) {
+    vf t;
+    vtanh(kGeluC * (v + 0.044715f * v * v * v), t);
+    const vf sech2 = 1.0f - t * t;
+    const vf dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+    out = g * (0.5f * (1.0f + t) + 0.5f * v * sech2 * dinner);
+  });
+}
+
+void softmax_row(float* row, int64_t n, float scale) {
+  // Scale in place and take the row max. Both are exact in any order, so
+  // the scalar tail agrees with the vector body; a NaN never wins a
+  // comparison but reaches every output through the sum.
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  vf vmx = HANAYO_SPLAT(kNegInf);
+  int64_t j = 0;
+  for (; j + VLEN <= n; j += VLEN) {
+    vf v;
+    std::memcpy(&v, row + j, sizeof(vf));
+    v *= scale;
+    std::memcpy(row + j, &v, sizeof(vf));
+    vmx = v > vmx ? v : vmx;
+  }
+  float mx = kNegInf;
+  for (int64_t l = 0; l < VLEN; ++l) mx = vmx[l] > mx ? vmx[l] : mx;
+  for (; j < n; ++j) {
+    row[j] *= scale;
+    mx = row[j] > mx ? row[j] : mx;
+  }
+  map_lanes(n, row, row, row, [mx](const vf& v, const vf&, vf& out) {
+    vexp(v - mx, out);
+  });
+  double denom = 0.0;
+  for (j = 0; j < n; ++j) denom += row[j];
+  const float inv = static_cast<float>(1.0 / denom);
+  for (j = 0; j < n; ++j) row[j] *= inv;
 }
 
 void set_gemm_pack_a(bool on) {

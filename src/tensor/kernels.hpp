@@ -48,6 +48,28 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void vecmat(int64_t n, int64_t k, const float* a, const float* b,
             int64_t ldb, float* c, bool accumulate);
 
+/// Elementwise vector math over n floats; y may alias x. Every element
+/// runs the same vector instruction sequence (the sub-vector tail is
+/// padded to a full vector), so its value depends only on its input: not
+/// on its index, its thread chunk or the thread count. No libm call.
+/// tanh: within 8 ulp and 5e-7 absolute of tanh on [-12, 12], exactly ±1
+/// for |x| >= 9. exp: within 2 ulp on [-87, 0], 0 below about -87.3.
+/// NaN in, NaN out for both.
+void tanh(int64_t n, const float* x, float* y);
+void exp(int64_t n, const float* x, float* y);
+
+/// y = GELU(x), tanh approximation 0.5 x (1 + tanh(sqrt(2/pi) (x +
+/// 0.044715 x^3))), on the vector tanh above; y may alias x.
+void gelu(int64_t n, const float* x, float* y);
+/// dx = dy * GELU'(x) with the same tanh.
+void gelu_grad(int64_t n, const float* x, const float* dy, float* dx);
+
+/// In place: row = softmax(scale * row) over n > 0 floats, scale > 0.
+/// Scales, takes the max, exponentiates (vector exp), sums in double in
+/// ascending order and normalises — the one softmax row every attention
+/// path and softmax_lastdim share. A NaN anywhere makes the row NaN.
+void softmax_row(float* row, int64_t n, float scale);
+
 /// dst (cols x rows, dense) = transpose of src (rows x cols, row stride
 /// ld). Cache-blocked; also the packing primitive behind gemm_bt/gemm_at.
 void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,

@@ -152,34 +152,18 @@ Tensor softmax_lastdim(const Tensor& a) {
   float* data = out.data();
   parallel_for(rows, kRowGrain, [&](int64_t r0, int64_t r1) {
     for (int64_t i = r0; i < r1; ++i) {
-      float* row = data + i * n;
-      float mx = row[0];
-      for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-      double denom = 0.0;
-      for (int64_t j = 0; j < n; ++j) {
-        row[j] = std::exp(row[j] - mx);
-        denom += row[j];
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      for (int64_t j = 0; j < n; ++j) row[j] *= inv;
+      kernels::softmax_row(data + i * n, n, 1.0f);
     }
   });
   return out;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
-
 Tensor gelu(const Tensor& a) {
-  Tensor out = a;
-  float* data = out.data();
-  parallel_for(out.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float x = data[i];
-      const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
-      data[i] = 0.5f * x * (1.0f + t);
-    }
+  Tensor out(a.shape());
+  const float* x = a.data();
+  float* y = out.data();
+  parallel_for(a.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
+    kernels::gelu(i1 - i0, x + i0, y + i0);
   });
   return out;
 }
@@ -191,15 +175,7 @@ Tensor gelu_grad(const Tensor& x, const Tensor& dy) {
   const float* dyp = dy.data();
   float* dxp = dx.data();
   parallel_for(x.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float v = xp[i];
-      const float inner = kGeluC * (v + 0.044715f * v * v * v);
-      const float t = std::tanh(inner);
-      const float sech2 = 1.0f - t * t;
-      const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-      const float g = 0.5f * (1.0f + t) + 0.5f * v * sech2 * dinner;
-      dxp[i] = dyp[i] * g;
-    }
+    kernels::gelu_grad(i1 - i0, xp + i0, dyp + i0, dxp + i0);
   });
   return dx;
 }

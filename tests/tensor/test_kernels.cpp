@@ -224,30 +224,40 @@ TEST(Kernels, VecmatIsBitIdenticalToSingleRowGemm) {
 }
 
 TEST(Kernels, RowWiseOpsBitIdenticalAcrossThreadCounts) {
+  // 129 x 65 stays below the elementwise grain (16,384) and runs in one
+  // chunk; 263 x 129 = 33,927 exceeds twice the grain, so gelu and
+  // gelu_grad split across threads at boundaries that cut a vector, and
+  // the total leaves a ragged sub-vector tail.
   ht::Rng rng(16);
-  ht::Tensor x = rng.randn({129, 65});
-  ht::Tensor bias = rng.randn({65});
+  for (const auto& shape : {ht::Shape{129, 65}, ht::Shape{263, 129}}) {
+    const ht::Tensor x = rng.randn(shape);
+    const ht::Tensor dy = rng.randn(shape);
+    const ht::Tensor bias = rng.randn({shape[1]});
 
-  ht::Tensor sm1, gl1, ab1, cs1;
-  {
-    ht::IntraOpScope scope(1);
-    sm1 = ht::softmax_lastdim(x);
-    gl1 = ht::gelu(x);
-    ab1 = ht::add_bias(x, bias);
-    cs1 = ht::col_sum(x);
-  }
-  {
-    ht::IntraOpScope scope(5);
-    const ht::Tensor smn = ht::softmax_lastdim(x);
-    const ht::Tensor gln = ht::gelu(x);
-    const ht::Tensor abn = ht::add_bias(x, bias);
-    const ht::Tensor csn = ht::col_sum(x);
-    for (int64_t i = 0; i < x.numel(); ++i) {
-      ASSERT_EQ(sm1[i], smn[i]) << i;
-      ASSERT_EQ(gl1[i], gln[i]) << i;
-      ASSERT_EQ(ab1[i], abn[i]) << i;
+    ht::Tensor sm1, gl1, gg1, ab1, cs1;
+    {
+      ht::IntraOpScope scope(1);
+      sm1 = ht::softmax_lastdim(x);
+      gl1 = ht::gelu(x);
+      gg1 = ht::gelu_grad(x, dy);
+      ab1 = ht::add_bias(x, bias);
+      cs1 = ht::col_sum(x);
     }
-    for (int64_t j = 0; j < cs1.numel(); ++j) ASSERT_EQ(cs1[j], csn[j]) << j;
+    {
+      ht::IntraOpScope scope(5);
+      const ht::Tensor smn = ht::softmax_lastdim(x);
+      const ht::Tensor gln = ht::gelu(x);
+      const ht::Tensor ggn = ht::gelu_grad(x, dy);
+      const ht::Tensor abn = ht::add_bias(x, bias);
+      const ht::Tensor csn = ht::col_sum(x);
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        ASSERT_EQ(sm1[i], smn[i]) << i;
+        ASSERT_EQ(gl1[i], gln[i]) << i;
+        ASSERT_EQ(gg1[i], ggn[i]) << i;
+        ASSERT_EQ(ab1[i], abn[i]) << i;
+      }
+      for (int64_t j = 0; j < cs1.numel(); ++j) ASSERT_EQ(cs1[j], csn[j]) << j;
+    }
   }
 }
 
