@@ -207,6 +207,46 @@ BENCHMARK(BM_MatmulLargeK)
     ->ArgNames({"m", "k", "pack"})
     ->Unit(benchmark::kMillisecond);
 
+// ---- ragged row blocks (decode projections) ------------------------------
+//
+// A decode pass pushes each stream through every Linear projection and the
+// LM head as gemm(1, n, k); prefill tails leave a few rows short of a full
+// MR register block. Those rows run the one-row vector tiles vecmat uses.
+// (n, k) are the serving model's shapes: qkv 192x64, out-proj 64x64, MLP
+// up 256x64 and down 64x256, LM head 512x64.
+
+static void BM_RowGemm(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  const int64_t k = state.range(2);
+  ht::IntraOpScope scope(1);
+  ht::Rng rng(6);
+  ht::Tensor a = rng.randn({m, k});
+  ht::Tensor b = rng.randn({k, n});
+  ht::Tensor c({m, n});
+  for (auto _ : state) {
+    ht::matmul_into(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  const double flops = 2.0 * static_cast<double>(m * n * k);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+  state.counters["GF/s"] = benchmark::Counter(
+      flops * 1e-9 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RowGemm)
+    ->ArgNames({"m", "n", "k"})
+    ->Args({1, 192, 64})
+    ->Args({1, 64, 64})
+    ->Args({1, 256, 64})
+    ->Args({1, 64, 256})
+    ->Args({1, 512, 64})
+    ->Args({3, 192, 64})
+    ->Args({3, 64, 64})
+    ->Args({3, 256, 64})
+    ->Args({3, 64, 256})
+    ->Args({3, 512, 64});
+
 // ---- accumulate forms (gradient path: no temporary, no zero pass) -------
 
 static void BM_MatmulAtAccum(benchmark::State& state) {

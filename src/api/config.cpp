@@ -1,6 +1,8 @@
 #include "api/config.hpp"
 
 #include <algorithm>
+#include <sstream>
+#include <stdexcept>
 
 #include "tensor/parallel.hpp"
 
@@ -16,6 +18,18 @@ sim::Cluster planning_cluster(int devices,
   // paper's calibrated clusters (sim::Cluster::tacc/pc/fc/tc) are a builder
   // call away; this default just makes predict() usable out of the box.
   return sim::Cluster::uniform(devices, 100e12, 40e9, 12e9, 5e-6);
+}
+
+void check_token_ids(const tensor::Tensor& ids, int64_t vocab,
+                     const std::string& what) {
+  const float* p = ids.data();
+  for (int64_t i = 0; i < ids.numel(); ++i) {
+    if (p[i] > -1.0f && p[i] < static_cast<float>(vocab)) continue;
+    std::ostringstream msg;
+    msg << what << ": token id " << p[i] << " at position " << i
+        << " is outside the vocabulary [0, " << vocab << ")";
+    throw std::invalid_argument(msg.str());
+  }
 }
 
 sim::Cluster EngineConfig::effective_cluster() const {

@@ -17,6 +17,7 @@ InferenceSession::InferenceSession(InferenceConfig cfg)
 
 int64_t InferenceSession::enqueue(tensor::Tensor prompt, int max_new_tokens,
                                   TokenCallback on_token, double deadline_s) {
+  check_token_ids(prompt, cfg_.model.vocab, "InferenceSession::enqueue prompt");
   return backend_->enqueue(std::move(prompt), max_new_tokens,
                            std::move(on_token), deadline_s);
 }

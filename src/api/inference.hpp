@@ -119,7 +119,8 @@ class InferenceSession {
   /// of *different* requests may run concurrently from different replica
   /// threads; one request's events never do). `deadline_s` > 0 is a
   /// relative per-request SLA overriding the config default. Returns the
-  /// request id — also the cancel() handle.
+  /// request id — also the cancel() handle. A prompt id outside the
+  /// model's vocabulary throws std::invalid_argument and queues nothing.
   int64_t enqueue(tensor::Tensor prompt, int max_new_tokens = 0,
                   TokenCallback on_token = {}, double deadline_s = 0.0);
 

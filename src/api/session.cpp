@@ -6,12 +6,23 @@
 
 namespace hanayo::api {
 
+namespace {
+
+void check_batch(const runtime::Batch& batch, int64_t vocab,
+                 const std::string& who) {
+  check_token_ids(batch.inputs, vocab, who + " inputs");
+  check_token_ids(batch.targets, vocab, who + " targets");
+}
+
+}  // namespace
+
 Session::Builder Session::builder() { return Builder(); }
 
 Session::Session(SessionConfig cfg)
     : cfg_(std::move(cfg)), backend_(make_backend(cfg_)) {}
 
 StepReport Session::step(const runtime::Batch& batch) {
+  check_batch(batch, cfg_.model.vocab, "Session::step");
   // The kernel pool is process-global; apply this session's resolved
   // intra-op setting for the duration of the step and restore it after, so
   // interleaved sessions (and non-Session kernel users, which keep the
@@ -25,6 +36,7 @@ StepReport Session::step(const runtime::Batch& batch) {
 }
 
 RunReport Session::run(const runtime::Batch& batch, int steps) {
+  check_batch(batch, cfg_.model.vocab, "Session::run");
   tensor::IntraOpScope scope(cfg_.effective_intra_op_threads());
   const std::vector<StepReport> reports =
       backend_->run(batch, steps, static_cast<int>(steps_.size()));

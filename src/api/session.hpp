@@ -88,12 +88,15 @@ class Session {
   Session(Session&&) = default;
   Session& operator=(Session&&) = default;
 
-  /// One training step (for Sim: one predicted iteration).
+  /// One training step (for Sim: one predicted iteration). Throws
+  /// std::invalid_argument, before any worker runs, when an input or
+  /// target id lies outside the model's vocabulary.
   StepReport step(const runtime::Batch& batch);
 
   /// `steps` consecutive steps over the same batch; returns the cumulative
   /// session report. On the Async backend the whole span runs as one
-  /// continuous micro-batch stream.
+  /// continuous micro-batch stream. Rejects out-of-vocabulary ids as step
+  /// does.
   RunReport run(const runtime::Batch& batch, int steps);
 
   /// Cumulative report of everything this session has executed, including

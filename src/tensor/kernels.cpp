@@ -315,12 +315,12 @@ void map_lanes(int64_t n, const float* a, const float* b, float* y,
 
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
-// Ragged edge tiles (mr < MR and/or nr < NR); same loop structure and the
-// same ascending-kk order per element.
+// Sub-vector column remainder (nr < VLEN) of an mr-row block: scalar, with
+// the same loop structure and the same ascending-kk order per element.
 inline void micro_edge(int64_t mr, int64_t nr, int64_t kc, const float* a,
                        int64_t lda, const float* b, int64_t ldb, float* c,
                        int64_t ldc, bool load_c) {
-  float acc[MR][NR];
+  float acc[MR][VLEN];
   for (int64_t r = 0; r < mr; ++r)
     for (int64_t j = 0; j < nr; ++j) acc[r][j] = load_c ? c[r * ldc + j] : 0.0f;
   for (int64_t kk = 0; kk < kc; ++kk) {
@@ -356,8 +356,9 @@ std::vector<float>& pack_fallback_a() {
 // an overwriting gemm starts its accumulators from zero instead of reading
 // C, so no separate output-clearing pass is needed. For deep-k problems
 // the thread packs its full MR row blocks of A once into MR-strided
-// panels, reused across every k-block and the whole column sweep; ragged
-// row tails and small problems stream A in place.
+// panels, reused across every k-block and the whole column sweep; small
+// problems stream A in place. A ragged row block (fewer than MR rows, so
+// every m = 1 decode projection) runs vecmat's row tiles, one row at a time.
 void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
                int64_t lda, const float* b, int64_t ldb, float* c,
                int64_t ldc, bool accumulate) {
@@ -415,11 +416,13 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
             j += nv_tail * VLEN;
           }
         }
-      }
-      // Ragged rows (m % MR) and the sub-vector column remainder.
-      for (; j < n; j += NR) {
-        micro_edge(mr, std::min(NR, n - j), kc, apanel, lda, bpanel + j, ldb,
-                   crow + j, ldc, load_c);
+        if (j < n)
+          micro_edge(MR, n - j, kc, apanel, lda, bpanel + j, ldb, crow + j,
+                     ldc, load_c);
+      } else {
+        for (int64_t r = 0; r < mr; ++r)
+          vecmat(n, kc, apanel + r * lda, bpanel, ldb, crow + r * ldc,
+                 load_c);
       }
     }
   }
@@ -469,6 +472,12 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void vecmat(int64_t n, int64_t k, const float* a, const float* b,
             int64_t ldb, float* c, bool accumulate) {
   int64_t j = 0;
+  for (; j + 8 * VLEN <= n; j += 8 * VLEN)
+    vec_tile<8>(k, a, b + j, ldb, c + j, accumulate);
+  if (j + 4 * VLEN <= n) {
+    vec_tile<4>(k, a, b + j, ldb, c + j, accumulate);
+    j += 4 * VLEN;
+  }
   for (; j + NR <= n; j += NR)
     vec_tile<NV>(k, a, b + j, ldb, c + j, accumulate);
   for (; j + VLEN <= n; j += VLEN)
@@ -476,10 +485,7 @@ void vecmat(int64_t n, int64_t k, const float* a, const float* b,
   // The sub-vector remainder runs gemm's own edge tile. A per-element
   // scalar loop would not do: GCC may vectorise its products and add them
   // one by one, which no longer fuses into the FMA gemm uses.
-  for (; j < n; j += NR) {
-    micro_edge(1, std::min(NR, n - j), k, a, k, b + j, ldb, c + j, n,
-               accumulate);
-  }
+  if (j < n) micro_edge(1, n - j, k, a, 0, b + j, ldb, c + j, 0, accumulate);
 }
 
 void tanh(int64_t n, const float* x, float* y) {

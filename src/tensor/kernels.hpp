@@ -21,8 +21,15 @@ namespace hanayo::tensor::kernels {
 
 /// C (m x n, row stride ldc) = or += A (m x k, lda) * B (k x n, ldb).
 /// Cache-blocked with an MR x NR register micro-kernel whose inner loop is
-/// contiguous in B and C rows (vectorisable, FMA-able). When `accumulate`
-/// is false C is overwritten, otherwise the product is added to it.
+/// contiguous in B and C rows (vectorisable, FMA-able): MR x NR is 8 x 48
+/// on AVX-512 and 6 x 16 otherwise. A ragged row block (fewer than MR
+/// rows: every m = 1 decode projection, and the last m % MR rows) runs
+/// vecmat's one-row vector tiles, one row at a time. Only the sub-vector
+/// column remainder (n % VLEN) takes the scalar edge tile. Which kernel
+/// serves a row depends only on m, and all of them run the same ascending-k
+/// multiply-add per element, so gemm's row i equals vecmat on that row bit
+/// for bit. When `accumulate` is false C is overwritten, otherwise the
+/// product is added to it.
 void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
           const float* b, int64_t ldb, float* c, int64_t ldc,
           bool accumulate);
@@ -41,10 +48,14 @@ void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              bool accumulate);
 
 /// c (n) = or += a (k) * B (k x n, ldb): the m = 1 product, vectorised
-/// across c without gemm's packing, k-blocking or scratch. Every element
-/// accumulates one multiply-add per kk in ascending-kk order, starting
-/// from zero (or from c) — the sequence gemm(1, n, k, a, k, b, ldb, c, n,
-/// accumulate) runs — so the two agree bitwise.
+/// across c without gemm's packing, k-blocking or scratch. A single row has
+/// no other rows to overlap, so each element is one serial FMA chain and
+/// only width hides the FMA latency: c is covered by tiles of 8, 4, NV (3
+/// on AVX-512, 2 otherwise) and 1 vectors of VLEN (16 or 8) floats, then
+/// the scalar edge tile. Every element accumulates one multiply-add per kk
+/// in ascending-kk order, starting from zero (or from c) — the sequence
+/// gemm(1, n, k, a, k, b, ldb, c, n, accumulate) runs — so the two agree
+/// bitwise.
 void vecmat(int64_t n, int64_t k, const float* a, const float* b,
             int64_t ldb, float* c, bool accumulate);
 

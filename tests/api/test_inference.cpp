@@ -7,9 +7,11 @@
 
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bounded.hpp"
 #include "core/hanayo.hpp"
 
 using namespace hanayo;
@@ -440,6 +442,47 @@ TEST(InferenceSession, StreamingOnDpReplicasKeepsPerRequestOrder) {
   const auto done = s.run();
   for (const Completion& c : done) {
     EXPECT_EQ(streams[static_cast<size_t>(c.id)], c.tokens);
+  }
+}
+
+// ---- Out-of-vocabulary prompts fail at enqueue ---------------------------
+
+TEST(InferenceSession, OutOfVocabPromptIsRejectedAndTheRestComplete) {
+  // A prompt id the embedding cannot index used to throw inside one
+  // pipeline worker and hang the whole drain. enqueue now rejects it,
+  // naming the id and its position, and queues nothing; the other prompts
+  // decode exactly as they would without it.
+  for (const BackendKind kind : {BackendKind::Threads, BackendKind::Reference}) {
+    InferenceSession s = tiny_server(Algo::Hanayo, 2, 2).backend(kind).build();
+    InferenceSession clean =
+        tiny_server(Algo::Hanayo, 2, 2).backend(kind).build();
+    Rng rng(13);
+    const Tensor first = random_prompt(rng, 5);
+    Tensor bad = random_prompt(rng, 4);
+    bad[2] = 999.0f;
+    const Tensor last = random_prompt(rng, 6);
+
+    s.enqueue(first);
+    try {
+      s.enqueue(bad);
+      ADD_FAILURE() << "out-of-vocab prompt accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("999"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("position 2"), std::string::npos) << msg;
+    }
+    s.enqueue(last);
+    clean.enqueue(first);
+    clean.enqueue(last);
+
+    const auto done = hanayo_test::within_limit([&] { return s.run(); });
+    const auto want = clean.run();
+    ASSERT_EQ(done.size(), 2u);
+    ASSERT_EQ(want.size(), 2u);
+    for (size_t i = 0; i < done.size(); ++i) {
+      EXPECT_EQ(done[i].tokens, want[i].tokens) << backend_name(kind);
+      EXPECT_FALSE(done[i].tokens.empty());
+    }
   }
 }
 

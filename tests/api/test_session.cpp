@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
+#include "common/bounded.hpp"
 #include "core/hanayo.hpp"
 
 using namespace hanayo;
@@ -293,6 +295,52 @@ TEST(Session, AsyncBackendReportsPerStepLossesAndStash) {
   ASSERT_EQ(rep.memory.stash_bytes.size(), 4u);
   ASSERT_EQ(rep.memory.stash_entries.size(), 4u);
   EXPECT_NE(rep.to_string().find("PipeDream"), std::string::npos);
+}
+
+// ---- Out-of-vocabulary ids fail at the API boundary ---------------------
+
+TEST(Session, OutOfVocabIdsAreRejectedBeforeAnyWorkerRuns) {
+  // An id the embedding (inputs) or the loss (targets) cannot index used to
+  // throw inside one pipeline worker while its peers blocked forever. The
+  // session now rejects the batch up front, naming the id and its
+  // position, and the rejected call leaves no trace: the next valid step
+  // matches, bit for bit, a session that never saw the bad batch.
+  for (const BackendKind kind : {BackendKind::Threads, BackendKind::Reference,
+                                 BackendKind::Async}) {
+    const int W = kind == BackendKind::Async ? 1 : 2;
+    Session s = tiny_builder(Algo::Hanayo, 2, 4, W).backend(kind).build();
+    Session clean = tiny_builder(Algo::Hanayo, 2, 4, W).backend(kind).build();
+    Rng rng(8);
+    const Batch good = synthetic_batch(kTiny, s.batch_rows(), rng);
+    Batch bad_input = good;  // value copies
+    bad_input.inputs[5] = 999.0f;
+    Batch bad_target = good;
+    bad_target.targets[3] = static_cast<float>(kTiny.vocab);
+
+    try {
+      hanayo_test::within_limit([&] { return s.step(bad_input); });
+      ADD_FAILURE() << "out-of-vocab input accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("inputs"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("999"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("position 5"), std::string::npos) << msg;
+    }
+    try {
+      hanayo_test::within_limit([&] { return s.run(bad_target, 2); });
+      ADD_FAILURE() << "out-of-vocab target accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("targets"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("37"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("position 3"), std::string::npos) << msg;
+    }
+    EXPECT_TRUE(s.report().steps.empty());
+
+    const float loss =
+        hanayo_test::within_limit([&] { return s.step(good); }).loss;
+    EXPECT_EQ(loss, clean.step(good).loss) << backend_name(kind);
+  }
 }
 
 // ---- The doc-comment quickstart from core/hanayo.hpp compiles ----------

@@ -203,8 +203,12 @@ TEST(Kernels, VecmatIsBitIdenticalToSingleRowGemm) {
   // cover the scalar tail (n < one vector), one and several vectors, and
   // ragged remainders; k = 300 spans a KC boundary.
   ht::Rng rng(29);
-  const Mnk shapes[] = {{1, 1, 1},  {1, 5, 16},   {1, 16, 16}, {1, 17, 7},
-                        {1, 48, 3}, {1, 53, 300}, {1, 64, 16}};
+  // n = 128, 200, 250 and 512 reach the 8- and 4-vector row tiles on both
+  // vector widths, followed by the narrower tiles and the scalar tail.
+  const Mnk shapes[] = {{1, 1, 1},    {1, 5, 16},    {1, 16, 16},
+                        {1, 17, 7},   {1, 48, 3},    {1, 53, 300},
+                        {1, 64, 16},  {1, 128, 64},  {1, 200, 16},
+                        {1, 250, 33}, {1, 261, 300}, {1, 512, 7}};
   for (const auto& s : shapes) {
     const int64_t ldb = s.n + 3;  // strided, like a head slice of a page
     ht::Tensor a = rng.randn({s.k});
@@ -218,6 +222,43 @@ TEST(Kernels, VecmatIsBitIdenticalToSingleRowGemm) {
       for (int64_t j = 0; j < s.n; ++j) {
         ASSERT_EQ(want[j], got[j]) << "n=" << s.n << " k=" << s.k
                                    << " acc=" << acc << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(Kernels, RaggedRowsMatchRowwiseVecmat) {
+  // Every row of gemm equals vecmat on that row, bit for bit: rows in full
+  // register blocks and rows of the ragged block (fewer than MR rows, run
+  // one vector row tile each) alike, so a decode step's m = 1 projection
+  // reproduces the prefill row that computed the same token. m covers 1 to
+  // MR + 1 and 2 MR - 1 for both register heights (MR = 6 and 8); n hits
+  // every row tile width and the scalar tail; k = 257 and 300 cross KC.
+  // A, B and C are strided, and the padding between C rows must survive.
+  ht::Rng rng(31);
+  const int64_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 15};
+  const int64_t ns[] = {1, 15, 16, 17, 48, 64, 127, 128, 129, 192, 256, 512};
+  const int64_t ks[] = {1, 16, 257, 300};
+  for (const int64_t m : ms) {
+    for (const int64_t n : ns) {
+      for (const int64_t k : ks) {
+        const int64_t lda = k + 5, ldb = n + 3, ldc = n + 7;
+        const ht::Tensor a = rng.randn({m, lda});
+        const ht::Tensor b = rng.randn({k, ldb});
+        const ht::Tensor c0 = rng.randn({m, ldc});
+        for (const bool acc : {false, true}) {
+          ht::Tensor got = c0, want = c0;  // value copies
+          ht::kernels::gemm(m, n, k, a.data(), lda, b.data(), ldb, got.data(),
+                            ldc, acc);
+          for (int64_t i = 0; i < m; ++i)
+            ht::kernels::vecmat(n, k, a.data() + i * lda, b.data(), ldb,
+                                want.data() + i * ldc, acc);
+          for (int64_t i = 0; i < got.numel(); ++i) {
+            ASSERT_EQ(want[i], got[i])
+                << "m=" << m << " n=" << n << " k=" << k << " acc=" << acc
+                << " row=" << i / ldc << " col=" << i % ldc;
+          }
+        }
       }
     }
   }
