@@ -80,6 +80,15 @@ void set_flops(benchmark::State& state, int64_t n) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 
+// FLOP/s plus a GF/s counter for an m x n x k product.
+void set_gflops(benchmark::State& state, int64_t m, int64_t n, int64_t k) {
+  const double flops = 2.0 * static_cast<double>(m * n * k);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+  state.counters["GF/s"] = benchmark::Counter(
+      flops * 1e-9 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 }  // namespace
 
 // ---- matmul -------------------------------------------------------------
@@ -228,11 +237,7 @@ static void BM_RowGemm(benchmark::State& state) {
     ht::matmul_into(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
-  const double flops = 2.0 * static_cast<double>(m * n * k);
-  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
-  state.counters["GF/s"] = benchmark::Counter(
-      flops * 1e-9 * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
+  set_gflops(state, m, n, k);
 }
 BENCHMARK(BM_RowGemm)
     ->ArgNames({"m", "n", "k"})
@@ -246,6 +251,83 @@ BENCHMARK(BM_RowGemm)
     ->Args({3, 256, 64})
     ->Args({3, 64, 256})
     ->Args({3, 512, 64});
+
+// ---- training backward shapes (gemm_bt / gemm_at) ------------------------
+//
+// A Linear layer's backward runs dx = dy W^T through gemm_bt and
+// dW += x^T dy through gemm_at; attention's score gradients add more of
+// both. gemm_bt packs B^T through register-block transposes before the
+// ordinary gemm; gemm_at reads A^T in place through its strides. (m, n, k)
+// are the training benchmark's shapes: 32 and 64 tokens per micro-batch,
+// hidden 64 and 192, MLP 256 and 768.
+
+static void BM_TransposePack(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int64_t cols = state.range(1);
+  ht::Rng rng(7);
+  ht::Tensor src = rng.randn({rows, cols});
+  ht::Tensor dst({cols, rows});
+  for (auto _ : state) {
+    ht::kernels::transpose_pack(src.data(), rows, cols, cols, dst.data());
+    benchmark::ClobberMemory();
+    benchmark::DoNotOptimize(dst.data());
+  }
+  state.counters["ns/elem"] = benchmark::Counter(
+      static_cast<double>(rows * cols) * 1e-9 *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TransposePack)
+    ->ArgNames({"rows", "cols"})
+    ->Args({64, 192})
+    ->Args({192, 768})
+    ->Args({768, 192})
+    ->Args({32, 32});
+
+static void BM_GemmBtTrain(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  const int64_t k = state.range(2);
+  ht::IntraOpScope scope(1);
+  ht::Rng rng(8);
+  ht::Tensor a = rng.randn({m, k});
+  ht::Tensor b = rng.randn({n, k});
+  ht::Tensor c({m, n});
+  for (auto _ : state) {
+    ht::matmul_bt_into(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state, m, n, k);
+}
+BENCHMARK(BM_GemmBtTrain)
+    ->ArgNames({"m", "n", "k"})
+    ->Args({32, 64, 192})
+    ->Args({32, 256, 64})
+    ->Args({64, 192, 768})
+    ->Args({64, 768, 192});
+
+static void BM_GemmAtTrain(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  const int64_t k = state.range(2);
+  ht::IntraOpScope scope(1);
+  ht::Rng rng(9);
+  ht::Tensor a = rng.randn({k, m});
+  ht::Tensor b = rng.randn({k, n});
+  ht::Tensor c({m, n});
+  for (auto _ : state) {
+    ht::matmul_at_into(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state, m, n, k);
+}
+BENCHMARK(BM_GemmAtTrain)
+    ->ArgNames({"m", "n", "k"})
+    ->Args({64, 192, 32})
+    ->Args({256, 64, 32})
+    ->Args({192, 768, 64});
 
 // ---- accumulate forms (gradient path: no temporary, no zero pass) -------
 

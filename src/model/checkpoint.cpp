@@ -1,6 +1,7 @@
 #include "model/checkpoint.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -23,34 +24,65 @@ uint64_t read_u64(std::istream& is) {
   return v;
 }
 
+// Highest tensor rank a checkpoint holds; save and scan both enforce it.
+constexpr uint64_t kMaxDims = 8;
+
 struct Record {
+  std::string name;
   tensor::Shape shape;
   std::streampos data_pos;
 };
 
-/// Scans the file and returns name -> (shape, data offset).
-std::map<std::string, Record> scan(std::istream& is) {
+struct Index {
+  std::vector<Record> records;             // file order
+  std::map<std::string, size_t> by_name;   // name -> position in records
+};
+
+/// Scans the file's headers. Every length a header declares is bounded by
+/// the bytes left in the file before anything is sized by it, so a corrupt
+/// or truncated file throws std::runtime_error, never std::bad_alloc.
+Index scan(std::istream& is) {
+  is.seekg(0, std::ios::end);
+  const auto size = static_cast<uint64_t>(is.tellg());
+  is.seekg(0);
+  const auto left = [&] { return size - static_cast<uint64_t>(is.tellg()); };
   char magic[8];
   is.read(magic, 8);
   if (!is || std::memcmp(magic, kMagic, 8) != 0) {
     throw std::runtime_error("checkpoint: bad magic");
   }
   const uint64_t count = read_u64(is);
-  std::map<std::string, Record> out;
+  Index out;
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t name_len = read_u64(is);
+    if (name_len > left()) throw std::runtime_error("checkpoint: truncated header");
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
     const uint64_t ndims = read_u64(is);
-    tensor::Shape shape;
-    int64_t numel = 1;
-    for (uint64_t d = 0; d < ndims; ++d) {
-      shape.push_back(static_cast<int64_t>(read_u64(is)));
-      numel *= shape.back();
+    if (ndims > kMaxDims) {
+      throw std::runtime_error("checkpoint: bad rank for " + name);
     }
-    if (!is) throw std::runtime_error("checkpoint: truncated header");
-    out.emplace(std::move(name), Record{std::move(shape), is.tellg()});
-    is.seekg(numel * static_cast<int64_t>(sizeof(float)), std::ios::cur);
+    const uint64_t max_numel = left() / sizeof(float);
+    tensor::Shape shape;
+    uint64_t numel = 1;
+    for (uint64_t d = 0; d < ndims; ++d) {
+      const uint64_t dim = read_u64(is);
+      // numel * dim <= max_numel without overflowing; the first test also
+      // bounds a dim that a zero elsewhere would hide.
+      if (dim > max_numel || (dim != 0 && numel > max_numel / dim)) {
+        throw std::runtime_error("checkpoint: bad shape for " + name);
+      }
+      numel *= dim;
+      shape.push_back(static_cast<int64_t>(dim));
+    }
+    if (numel * sizeof(float) > left()) {
+      throw std::runtime_error("checkpoint: truncated data for " + name);
+    }
+    if (!out.by_name.emplace(name, out.records.size()).second) {
+      throw std::runtime_error("checkpoint: duplicate record " + name);
+    }
+    out.records.push_back({std::move(name), std::move(shape), is.tellg()});
+    is.seekg(static_cast<std::streamoff>(numel * sizeof(float)), std::ios::cur);
   }
   return out;
 }
@@ -59,22 +91,37 @@ std::map<std::string, Record> scan(std::istream& is) {
 
 void save_checkpoint(const std::string& path,
                      const std::vector<NamedTensor>& records) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("checkpoint: cannot open " + path);
-  os.write(kMagic, 8);
-  write_u64(os, records.size());
-  for (const NamedTensor& r : records) {
-    if (r.tensor == nullptr) {
-      throw std::invalid_argument("checkpoint: null tensor for " + r.name);
+  // Write a sibling temporary and rename it over `path` only once it is
+  // complete, so a failed save leaves the previous checkpoint intact.
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("checkpoint: cannot open " + path);
+    os.write(kMagic, 8);
+    write_u64(os, records.size());
+    for (const NamedTensor& r : records) {
+      if (r.tensor == nullptr ||
+          static_cast<uint64_t>(r.tensor->dim()) > kMaxDims) {
+        throw std::invalid_argument("checkpoint: null or rank > 8 tensor for " +
+                                    r.name);
+      }
+      write_u64(os, r.name.size());
+      os.write(r.name.data(), static_cast<std::streamsize>(r.name.size()));
+      write_u64(os, r.tensor->shape().size());
+      for (int64_t d : r.tensor->shape()) write_u64(os, static_cast<uint64_t>(d));
+      os.write(reinterpret_cast<const char*>(r.tensor->data()),
+               static_cast<std::streamsize>(r.tensor->bytes()));
     }
-    write_u64(os, r.name.size());
-    os.write(r.name.data(), static_cast<std::streamsize>(r.name.size()));
-    write_u64(os, r.tensor->shape().size());
-    for (int64_t d : r.tensor->shape()) write_u64(os, static_cast<uint64_t>(d));
-    os.write(reinterpret_cast<const char*>(r.tensor->data()),
-             static_cast<std::streamsize>(r.tensor->bytes()));
+    os.close();
+    if (!os) throw std::runtime_error("checkpoint: write failed for " + path);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
   }
-  if (!os) throw std::runtime_error("checkpoint: write failed for " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("checkpoint: cannot replace " + path);
+  }
 }
 
 void save_checkpoint(const std::string& path,
@@ -88,16 +135,16 @@ void save_checkpoint(const std::string& path,
 std::map<std::string, tensor::Tensor> load_all(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
-  const auto records = scan(is);
+  const Index index = scan(is);
   is.clear();
   std::map<std::string, tensor::Tensor> out;
-  for (const auto& [name, rec] : records) {
+  for (const Record& rec : index.records) {
     tensor::Tensor t(rec.shape);
     is.seekg(rec.data_pos);
     is.read(reinterpret_cast<char*>(t.data()),
             static_cast<std::streamsize>(t.bytes()));
-    if (!is) throw std::runtime_error("checkpoint: truncated data for " + name);
-    out.emplace(name, std::move(t));
+    if (!is) throw std::runtime_error("checkpoint: truncated data for " + rec.name);
+    out.emplace(rec.name, std::move(t));
   }
   return out;
 }
@@ -106,17 +153,18 @@ void load_checkpoint(const std::string& path,
                      const std::vector<Param*>& params) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
-  const auto records = scan(is);
+  const Index index = scan(is);
   is.clear();
   for (Param* p : params) {
-    const auto it = records.find(p->name);
-    if (it == records.end()) {
+    const auto it = index.by_name.find(p->name);
+    if (it == index.by_name.end()) {
       throw std::runtime_error("checkpoint: missing parameter " + p->name);
     }
-    if (it->second.shape != p->value.shape()) {
+    const Record& rec = index.records[it->second];
+    if (rec.shape != p->value.shape()) {
       throw std::runtime_error("checkpoint: shape mismatch for " + p->name);
     }
-    is.seekg(it->second.data_pos);
+    is.seekg(rec.data_pos);
     is.read(reinterpret_cast<char*>(p->value.data()),
             static_cast<std::streamsize>(p->value.bytes()));
     if (!is) throw std::runtime_error("checkpoint: truncated data for " + p->name);
@@ -127,7 +175,7 @@ std::vector<std::string> checkpoint_names(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
   std::vector<std::string> names;
-  for (const auto& [name, rec] : scan(is)) names.push_back(name);
+  for (Record& rec : scan(is).records) names.push_back(std::move(rec.name));
   return names;
 }
 

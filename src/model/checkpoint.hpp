@@ -13,15 +13,19 @@
 
 namespace hanayo::model {
 
-/// Writes (name, shape, fp32 data) records for every parameter.
-/// Overwrites `path`. Throws std::runtime_error on I/O failure.
+/// Writes (name, shape, fp32 data) records for every parameter. The file
+/// is written as `path + ".tmp"` and renamed over `path` only after it is
+/// complete, so a failed save leaves the previous checkpoint in place.
+/// Throws std::runtime_error on I/O failure.
 void save_checkpoint(const std::string& path,
                      const std::vector<Param*>& params);
 
 /// Loads parameters by name into `params`. Parameters present in `params`
 /// but absent from the file throw; extra records in the file are ignored
 /// (a worker owning one pipeline stage loads just its slice). Shape
-/// mismatches throw.
+/// mismatches throw. Every reader throws std::runtime_error on a
+/// truncated or corrupt file (header lengths are checked against the file
+/// size before use) and on two records of one name.
 void load_checkpoint(const std::string& path,
                      const std::vector<Param*>& params);
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "tensor/arena.hpp"
@@ -73,15 +74,17 @@ typedef float vf __attribute__((vector_size(VLEN * sizeof(float)),
   (vf) { x, x, x, x, x, x, x, x }
 #endif
 
-// One k step for a register tile of MR x NVt vectors.
+// One k step for a register tile of MR x NVt vectors. A is read through
+// two strides, element (r, kk) at a[r * lda + kk * ak]: gemm passes ak = 1,
+// and gemm_at reads A^T in place with lda = 1 and ak = A's row stride.
 template <int64_t NVt>
-inline void micro_step(int64_t kk, const float* a, int64_t lda,
+inline void micro_step(int64_t kk, const float* a, int64_t lda, int64_t ak,
                        const float* b, int64_t ldb, vf acc[MR][NVt]) {
   vf bv[NVt];
   for (int64_t q = 0; q < NVt; ++q)
     std::memcpy(&bv[q], b + kk * ldb + VLEN * q, sizeof(vf));
   for (int64_t r = 0; r < MR; ++r) {
-    const vf avv = HANAYO_SPLAT(a[r * lda + kk]);
+    const vf avv = HANAYO_SPLAT(a[r * lda + kk * ak]);
     for (int64_t q = 0; q < NVt; ++q) acc[r][q] += avv * bv[q];
   }
 }
@@ -93,9 +96,9 @@ inline void micro_step(int64_t kk, const float* a, int64_t lda,
 // (0 + ascending-k FMAs is the same per-element sequence either way).
 template <int64_t NVt>
 __attribute__((noinline)) void micro_tile(int64_t kc, const float* a,
-                                          int64_t lda, const float* b,
-                                          int64_t ldb, float* c, int64_t ldc,
-                                          bool load_c) {
+                                          int64_t lda, int64_t ak,
+                                          const float* b, int64_t ldb,
+                                          float* c, int64_t ldc, bool load_c) {
   vf acc[MR][NVt];
   if (load_c) {
     for (int64_t r = 0; r < MR; ++r)
@@ -108,8 +111,8 @@ __attribute__((noinline)) void micro_tile(int64_t kc, const float* a,
   int64_t kk = 0;
   for (; kk + KU <= kc; kk += KU)
     for (int64_t u = 0; u < KU; ++u)
-      micro_step<NVt>(kk + u, a, lda, b, ldb, acc);
-  for (; kk < kc; ++kk) micro_step<NVt>(kk, a, lda, b, ldb, acc);
+      micro_step<NVt>(kk + u, a, lda, ak, b, ldb, acc);
+  for (; kk < kc; ++kk) micro_step<NVt>(kk, a, lda, ak, b, ldb, acc);
   for (int64_t r = 0; r < MR; ++r)
     for (int64_t q = 0; q < NVt; ++q)
       std::memcpy(c + r * ldc + VLEN * q, &acc[r][q], sizeof(vf));
@@ -117,13 +120,13 @@ __attribute__((noinline)) void micro_tile(int64_t kc, const float* a,
 
 // Column tail of nv whole vectors (nv in [1, NV)).
 inline void micro_tile_tail(int64_t nv, int64_t kc, const float* a,
-                            int64_t lda, const float* b, int64_t ldb,
-                            float* c, int64_t ldc, bool load_c) {
+                            int64_t lda, int64_t ak, const float* b,
+                            int64_t ldb, float* c, int64_t ldc, bool load_c) {
   if (nv == 1) {
-    micro_tile<1>(kc, a, lda, b, ldb, c, ldc, load_c);
+    micro_tile<1>(kc, a, lda, ak, b, ldb, c, ldc, load_c);
   } else {
     static_assert(NV <= 3, "extend the tail dispatch for wider tiles");
-    micro_tile<2>(kc, a, lda, b, ldb, c, ldc, load_c);
+    micro_tile<2>(kc, a, lda, ak, b, ldb, c, ldc, load_c);
   }
 }
 
@@ -181,10 +184,10 @@ inline void micro_tile_tail_packed(int64_t nv, int64_t kc, const float* ap,
 }
 
 // One-row tile for vecmat: NVt vectors of c over the whole k extent, the
-// micro_step multiply-add with a single broadcast row of A.
+// micro_step multiply-add with a single broadcast row of A (a[kk * ak]).
 template <int64_t NVt>
-inline void vec_tile(int64_t k, const float* a, const float* b, int64_t ldb,
-                     float* c, bool load_c) {
+inline void vec_tile(int64_t k, const float* a, int64_t ak, const float* b,
+                     int64_t ldb, float* c, bool load_c) {
   vf acc[NVt];
   for (int64_t q = 0; q < NVt; ++q) {
     if (load_c) {
@@ -194,7 +197,7 @@ inline void vec_tile(int64_t k, const float* a, const float* b, int64_t ldb,
     }
   }
   for (int64_t kk = 0; kk < k; ++kk) {
-    const vf avv = HANAYO_SPLAT(a[kk]);
+    const vf avv = HANAYO_SPLAT(a[kk * ak]);
     for (int64_t q = 0; q < NVt; ++q) {
       vf bv;
       std::memcpy(&bv, b + kk * ldb + VLEN * q, sizeof(vf));
@@ -203,6 +206,48 @@ inline void vec_tile(int64_t k, const float* a, const float* b, int64_t ldb,
   }
   for (int64_t q = 0; q < NVt; ++q)
     std::memcpy(c + VLEN * q, &acc[q], sizeof(vf));
+}
+
+// ---- Register-block transpose --------------------------------------------
+// A VLEN x VLEN block is VLEN row vectors. Stage S (S = 1, 2, 4, ...) pairs
+// each row i whose bit S is clear with row i + S and swaps bit S of the
+// row index with bit S of the lane index: two two-source shuffles per
+// pair. After log2(VLEN) stages element (i, l) sits at (l, i). Only data
+// moves, so the packed values are exactly the source floats.
+template <int64_t S, size_t... L>
+inline void swap_index_bit(vf& x, vf& y, std::index_sequence<L...>) {
+  const vf lo = __builtin_shufflevector(x, y, (L & S ? VLEN + L - S : L)...);
+  const vf hi = __builtin_shufflevector(x, y, (L & S ? VLEN + L : L + S)...);
+  x = lo;
+  y = hi;
+}
+
+// Stage S over all VLEN / 2 row pairs; pair p's low row is p with a zero
+// inserted at bit S.
+template <int64_t S, size_t... P>
+inline void transpose_stage(vf v[VLEN], std::index_sequence<P...>) {
+  (swap_index_bit<S>(v[((P & ~(S - 1)) << 1) | (P & (S - 1))],
+                     v[(((P & ~(S - 1)) << 1) | (P & (S - 1))) + S],
+                     std::make_index_sequence<VLEN>{}),
+   ...);
+}
+
+template <int64_t S>
+inline void transpose_stages(vf v[VLEN]) {
+  transpose_stage<S>(v, std::make_index_sequence<VLEN / 2>{});
+  if constexpr (2 * S < VLEN) transpose_stages<2 * S>(v);
+}
+
+// dst (row stride ldd) = transpose of the VLEN x VLEN block at src (row
+// stride ld).
+__attribute__((noinline)) void transpose_block(const float* src, int64_t ld,
+                                               float* dst, int64_t ldd) {
+  vf v[VLEN];
+  for (int64_t i = 0; i < VLEN; ++i)
+    std::memcpy(&v[i], src + i * ld, sizeof(vf));
+  transpose_stages<1>(v);
+  for (int64_t i = 0; i < VLEN; ++i)
+    std::memcpy(dst + i * ldd, &v[i], sizeof(vf));
 }
 
 // ---- Vector math: tanh, exp and the array kernels built on them ---------
@@ -318,15 +363,15 @@ constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 // Sub-vector column remainder (nr < VLEN) of an mr-row block: scalar, with
 // the same loop structure and the same ascending-kk order per element.
 inline void micro_edge(int64_t mr, int64_t nr, int64_t kc, const float* a,
-                       int64_t lda, const float* b, int64_t ldb, float* c,
-                       int64_t ldc, bool load_c) {
+                       int64_t lda, int64_t ak, const float* b, int64_t ldb,
+                       float* c, int64_t ldc, bool load_c) {
   float acc[MR][VLEN];
   for (int64_t r = 0; r < mr; ++r)
     for (int64_t j = 0; j < nr; ++j) acc[r][j] = load_c ? c[r * ldc + j] : 0.0f;
   for (int64_t kk = 0; kk < kc; ++kk) {
     const float* brow = b + kk * ldb;
     for (int64_t r = 0; r < mr; ++r) {
-      const float av = a[r * lda + kk];
+      const float av = a[r * lda + kk * ak];
       for (int64_t j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
     }
   }
@@ -334,10 +379,30 @@ inline void micro_edge(int64_t mr, int64_t nr, int64_t kc, const float* a,
     for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = acc[r][j];
 }
 
-// Pack-panel scratch. Two independent pools because they nest: gemm_bt
-// holds its transposed-B panel across the inner gemm call, whose
-// gemm_rows may pack A on the same thread — one shared buffer would be
-// clobbered mid-product. When the calling thread has an active
+// vecmat on a row of A read at stride ak; see vecmat for the tiling.
+inline void vec_row(int64_t n, int64_t k, const float* a, int64_t ak,
+                    const float* b, int64_t ldb, float* c, bool load_c) {
+  int64_t j = 0;
+  for (; j + 8 * VLEN <= n; j += 8 * VLEN)
+    vec_tile<8>(k, a, ak, b + j, ldb, c + j, load_c);
+  if (j + 4 * VLEN <= n) {
+    vec_tile<4>(k, a, ak, b + j, ldb, c + j, load_c);
+    j += 4 * VLEN;
+  }
+  for (; j + NR <= n; j += NR)
+    vec_tile<NV>(k, a, ak, b + j, ldb, c + j, load_c);
+  for (; j + VLEN <= n; j += VLEN)
+    vec_tile<1>(k, a, ak, b + j, ldb, c + j, load_c);
+  // The sub-vector remainder runs gemm's own edge tile. A per-element
+  // scalar loop would not do: GCC may vectorise its products and add them
+  // one by one, which no longer fuses into the FMA gemm uses.
+  if (j < n) micro_edge(1, n - j, k, a, 0, ak, b + j, ldb, c + j, 0, load_c);
+}
+
+// Bᵀ pack scratch for gemm_bt, separate from the A-panel pool because the
+// two nest: gemm_bt holds its transposed-B panel across the inner gemm
+// call, whose gemm_rows may pack A on the same thread — one shared buffer
+// would be clobbered mid-product. When the calling thread has an active
 // pass-lifetime arena the panel comes from it under a LIFO mark/rewind
 // (the B mark strictly encloses the A mark, so rewinds pair up); without
 // one (pool worker threads, cold paths) a grow-only thread_local backs it
@@ -352,15 +417,16 @@ std::vector<float>& pack_fallback_a() {
   return v;
 }
 
-// One thread's share of a gemm: rows [i0, i1) of C. The first k-panel of
-// an overwriting gemm starts its accumulators from zero instead of reading
-// C, so no separate output-clearing pass is needed. For deep-k problems
-// the thread packs its full MR row blocks of A once into MR-strided
-// panels, reused across every k-block and the whole column sweep; small
-// problems stream A in place. A ragged row block (fewer than MR rows, so
-// every m = 1 decode projection) runs vecmat's row tiles, one row at a time.
+// One thread's share of a gemm: rows [i0, i1) of C, with A's element
+// (i, kk) at a[i * lda + kk * ak]. The first k-panel of an overwriting gemm
+// starts its accumulators from zero instead of reading C, so no separate
+// output-clearing pass is needed. For deep-k problems the thread packs its
+// full MR row blocks of A once into MR-strided panels, reused across every
+// k-block and the whole column sweep; small problems stream A in place. A
+// ragged row block (fewer than MR rows, so every m = 1 decode projection)
+// runs vecmat's row tiles, one row at a time.
 void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
-               int64_t lda, const float* b, int64_t ldb, float* c,
+               int64_t lda, int64_t ak, const float* b, int64_t ldb, float* c,
                int64_t ldc, bool accumulate) {
   if (k <= 0) {  // degenerate product: all-zero (or untouched) output
     if (!accumulate) {
@@ -380,7 +446,8 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
       const float* src = a + (i0 + blk * MR) * lda;
       float* panel = apack.data() + blk * k * MR;
       for (int64_t kk = 0; kk < k; ++kk)
-        for (int64_t r = 0; r < MR; ++r) panel[kk * MR + r] = src[r * lda + kk];
+        for (int64_t r = 0; r < MR; ++r)
+          panel[kk * MR + r] = src[r * lda + kk * ak];
     }
   }
   for (int64_t kb = 0; kb < k; kb += KC) {
@@ -388,7 +455,7 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
     const bool load_c = accumulate || kb > 0;
     for (int64_t i = i0; i < i1; i += MR) {
       const int64_t mr = std::min(MR, i1 - i);
-      const float* apanel = a + i * lda + kb;
+      const float* apanel = a + i * lda + kb * ak;
       const float* bpanel = b + kb * ldb;
       float* crow = c + i * ldc;
       int64_t j = 0;
@@ -407,35 +474,34 @@ void gemm_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
           }
         } else {
           for (; j + NR <= n; j += NR)
-            micro_tile<NV>(kc, apanel, lda, bpanel + j, ldb, crow + j, ldc,
-                           load_c);
+            micro_tile<NV>(kc, apanel, lda, ak, bpanel + j, ldb, crow + j,
+                           ldc, load_c);
           const int64_t nv_tail = (n - j) / VLEN;
           if (nv_tail > 0) {
-            micro_tile_tail(nv_tail, kc, apanel, lda, bpanel + j, ldb,
+            micro_tile_tail(nv_tail, kc, apanel, lda, ak, bpanel + j, ldb,
                             crow + j, ldc, load_c);
             j += nv_tail * VLEN;
           }
         }
         if (j < n)
-          micro_edge(MR, n - j, kc, apanel, lda, bpanel + j, ldb, crow + j,
-                     ldc, load_c);
+          micro_edge(MR, n - j, kc, apanel, lda, ak, bpanel + j, ldb,
+                     crow + j, ldc, load_c);
       } else {
         for (int64_t r = 0; r < mr; ++r)
-          vecmat(n, kc, apanel + r * lda, bpanel, ldb, crow + r * ldc,
-                 load_c);
+          vec_row(n, kc, apanel + r * lda, ak, bpanel, ldb, crow + r * ldc,
+                  load_c);
       }
     }
   }
 }
 
-}  // namespace
-
-void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-          const float* b, int64_t ldb, float* c, int64_t ldc,
-          bool accumulate) {
+// gemm on A read through a row stride lda and a k-stride ak.
+void gemm_strided(int64_t m, int64_t n, int64_t k, const float* a,
+                  int64_t lda, int64_t ak, const float* b, int64_t ldb,
+                  float* c, int64_t ldc, bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (2 * m * n * std::max<int64_t>(k, 1) < kParallelFlops) {
-    gemm_rows(0, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+    gemm_rows(0, m, n, k, a, lda, ak, b, ldb, c, ldc, accumulate);
     return;
   }
   // Partition whole MR row-blocks, so which rows share a register tile —
@@ -444,9 +510,17 @@ void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
   // N threads even if the full and edge kernels round differently.
   const int64_t row_blocks = (m + MR - 1) / MR;
   parallel_for(row_blocks, 1, [&](int64_t b0, int64_t b1) {
-    gemm_rows(b0 * MR, std::min(b1 * MR, m), n, k, a, lda, b, ldb, c, ldc,
-              accumulate);
+    gemm_rows(b0 * MR, std::min(b1 * MR, m), n, k, a, lda, ak, b, ldb, c,
+              ldc, accumulate);
   });
+}
+
+}  // namespace
+
+void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+          const float* b, int64_t ldb, float* c, int64_t ldc,
+          bool accumulate) {
+  gemm_strided(m, n, k, a, lda, 1, b, ldb, c, ldc, accumulate);
 }
 
 void gemm_bt(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
@@ -462,30 +536,13 @@ void gemm_bt(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  ScratchBuffer pack(k * m, pack_fallback_b());
-  float* at = pack.data();
-  transpose_pack(a, k, m, lda, at);  // k x m -> m x k
-  gemm(m, n, k, at, k, b, ldb, c, ldc, accumulate);
+  // A^T's element (i, kk) is A's (kk, i): row stride 1, k-stride lda.
+  gemm_strided(m, n, k, a, 1, lda, b, ldb, c, ldc, accumulate);
 }
 
 void vecmat(int64_t n, int64_t k, const float* a, const float* b,
             int64_t ldb, float* c, bool accumulate) {
-  int64_t j = 0;
-  for (; j + 8 * VLEN <= n; j += 8 * VLEN)
-    vec_tile<8>(k, a, b + j, ldb, c + j, accumulate);
-  if (j + 4 * VLEN <= n) {
-    vec_tile<4>(k, a, b + j, ldb, c + j, accumulate);
-    j += 4 * VLEN;
-  }
-  for (; j + NR <= n; j += NR)
-    vec_tile<NV>(k, a, b + j, ldb, c + j, accumulate);
-  for (; j + VLEN <= n; j += VLEN)
-    vec_tile<1>(k, a, b + j, ldb, c + j, accumulate);
-  // The sub-vector remainder runs gemm's own edge tile. A per-element
-  // scalar loop would not do: GCC may vectorise its products and add them
-  // one by one, which no longer fuses into the FMA gemm uses.
-  if (j < n) micro_edge(1, n - j, k, a, 0, b + j, ldb, c + j, 0, accumulate);
+  vec_row(n, k, a, 1, b, ldb, c, accumulate);
 }
 
 void tanh(int64_t n, const float* x, float* y) {
@@ -553,17 +610,15 @@ bool gemm_pack_a() { return g_pack_a.load(std::memory_order_relaxed); }
 
 void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,
                     float* dst) {
-  constexpr int64_t BT = 32;  // tile fits L1 in both orientations
-  for (int64_t r0 = 0; r0 < rows; r0 += BT) {
-    const int64_t r1 = std::min(r0 + BT, rows);
-    for (int64_t c0 = 0; c0 < cols; c0 += BT) {
-      const int64_t c1 = std::min(c0 + BT, cols);
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* s = src + r * ld;
-        for (int64_t c = c0; c < c1; ++c) dst[c * rows + r] = s[c];
-      }
-    }
-  }
+  // Whole VLEN x VLEN blocks go through registers; the rows % VLEN and
+  // cols % VLEN edges are copied one element at a time.
+  const int64_t rb = rows - rows % VLEN, cb = cols - cols % VLEN;
+  for (int64_t r0 = 0; r0 < rb; r0 += VLEN)
+    for (int64_t c0 = 0; c0 < cb; c0 += VLEN)
+      transpose_block(src + r0 * ld + c0, ld, dst + c0 * rows + r0, rows);
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t c = r < rb ? cb : 0; c < cols; ++c)
+      dst[c * rows + r] = src[r * ld + c];
 }
 
 }  // namespace hanayo::tensor::kernels

@@ -35,14 +35,18 @@ void gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
           bool accumulate);
 
 /// C (m x n, ldc) = or += A (m x k, lda) * B^T where B is n x k (ldb).
-/// B is packed transposed into a per-thread scratch once, then reuses the
-/// contiguous-inner-loop kernel; no caller-visible transpose temporary.
+/// B^T is packed once into a per-thread scratch by transpose_pack (whole
+/// VLEN x VLEN blocks transposed in registers), then gemm runs on it; no
+/// caller-visible temporary. The pack only moves values, so the result is
+/// bitwise gemm's on an explicitly transposed B.
 void gemm_bt(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate);
 
 /// C (m x n, ldc) = or += A^T * B where A is k x m (lda) and B is k x n
-/// (ldb). A is packed transposed into a per-thread scratch.
+/// (ldb). A^T is read in place through strides (element (i, kk) at
+/// a[kk * lda + i]); there is no transpose and no scratch beyond gemm's own
+/// A-panel pack. Bitwise gemm's result on an explicitly transposed A.
 void gemm_at(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
              const float* b, int64_t ldb, float* c, int64_t ldc,
              bool accumulate);
@@ -82,7 +86,10 @@ void gelu_grad(int64_t n, const float* x, const float* dy, float* dx);
 void softmax_row(float* row, int64_t n, float scale);
 
 /// dst (cols x rows, dense) = transpose of src (rows x cols, row stride
-/// ld). Cache-blocked; also the packing primitive behind gemm_bt/gemm_at.
+/// ld). Whole VLEN x VLEN blocks go through registers (VLEN row loads,
+/// log2(VLEN) two-source shuffle stages, VLEN row stores); the rows % VLEN
+/// and cols % VLEN edges are copied element by element. gemm_bt packs B^T
+/// with it.
 void transpose_pack(const float* src, int64_t rows, int64_t cols, int64_t ld,
                     float* dst);
 

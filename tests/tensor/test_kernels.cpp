@@ -332,6 +332,95 @@ TEST(Kernels, TransposeIntoMatchesElementwise) {
     for (int64_t j = 0; j < 53; ++j) ASSERT_EQ(t.at(j, i), a.at(i, j));
 }
 
+TEST(Kernels, TransposePackMatchesElementwise) {
+  // Whole VLEN x VLEN blocks go through register transposes and the edges
+  // are copied one by one; sizes straddle both vector widths (8 and 16)
+  // and read a strided source.
+  ht::Rng rng(19);
+  const int64_t sizes[] = {1, 7, 8, 15, 16, 17, 33, 64, 192, 257};
+  for (const int64_t rows : sizes) {
+    for (const int64_t cols : sizes) {
+      const int64_t ld = cols + 3;
+      const ht::Tensor src = rng.randn({rows, ld});
+      std::vector<float> dst(static_cast<size_t>(rows * cols), -1.0f);
+      ht::kernels::transpose_pack(src.data(), rows, cols, ld, dst.data());
+      for (int64_t r = 0; r < rows; ++r)
+        for (int64_t c = 0; c < cols; ++c)
+          ASSERT_EQ(dst[static_cast<size_t>(c * rows + r)], src[r * ld + c])
+              << rows << "x" << cols << " r=" << r << " c=" << c;
+    }
+  }
+}
+
+namespace {
+
+// C = or += op(A) * op(B) through gemm_at (transpose_a) or gemm_bt, checked
+// bit for bit against gemm on explicitly transposed copies. A, B and C are
+// strided, and the padding between C rows must survive.
+void expect_gemm_on_transposed_copy(bool transpose_a, ht::Rng& rng) {
+  // m covers 1, MR - 1, MR, MR + 1 and 2 MR + 3 for both register heights
+  // (MR = 6 and 8); k crosses kPackMinK (64) and KC (256).
+  const int64_t ms[] = {1, 5, 6, 7, 8, 9, 15, 19, 64, 192};
+  const int64_t ns[] = {1, 15, 16, 17, 48, 129};
+  const int64_t ks[] = {1, 31, 64, 257, 300};
+  for (const int64_t m : ms) {
+    for (const int64_t n : ns) {
+      for (const int64_t k : ks) {
+        const int64_t lda = k + 5, ldb = n + 3, ldc = n + 7;
+        const ht::Tensor a = rng.randn({m, lda});  // A (m x k)
+        const ht::Tensor b = rng.randn({k, ldb});  // B (k x n)
+        const ht::Tensor c0 = rng.randn({m, ldc});
+        // The transposed operand, A^T (k x m) or B^T (n x k), with its own
+        // row padding.
+        const int64_t ldt = (transpose_a ? m : k) + 2;
+        ht::Tensor t({transpose_a ? k : n, ldt});
+        for (int64_t kk = 0; kk < k; ++kk) {
+          if (transpose_a) {
+            for (int64_t i = 0; i < m; ++i) t[kk * ldt + i] = a[i * lda + kk];
+          } else {
+            for (int64_t j = 0; j < n; ++j) t[j * ldt + kk] = b[kk * ldb + j];
+          }
+        }
+        for (const bool acc : {false, true}) {
+          ht::Tensor want = c0, got = c0;  // value copies
+          ht::kernels::gemm(m, n, k, a.data(), lda, b.data(), ldb,
+                            want.data(), ldc, acc);
+          if (transpose_a) {
+            ht::kernels::gemm_at(m, n, k, t.data(), ldt, b.data(), ldb,
+                                 got.data(), ldc, acc);
+          } else {
+            ht::kernels::gemm_bt(m, n, k, a.data(), lda, t.data(), ldt,
+                                 got.data(), ldc, acc);
+          }
+          for (int64_t i = 0; i < got.numel(); ++i) {
+            ASSERT_EQ(want[i], got[i])
+                << (transpose_a ? "at" : "bt") << " m=" << m << " n=" << n
+                << " k=" << k << " acc=" << acc << " row=" << i / ldc
+                << " col=" << i % ldc;
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Kernels, GemmAtIsBitIdenticalToGemmOnTransposedA) {
+  // gemm_at reads A^T in place through its strides: same values, same
+  // ascending-k order per element as gemm on a transposed copy.
+  ht::Rng rng(20);
+  expect_gemm_on_transposed_copy(true, rng);
+}
+
+TEST(Kernels, GemmBtIsBitIdenticalToGemmOnTransposedB) {
+  // matmul_bt_into(a, transpose(b)) ≡ matmul_into(a, b), with n and k off
+  // the vector width so the pack takes its scalar edges as well as whole
+  // register-transposed blocks.
+  ht::Rng rng(21);
+  expect_gemm_on_transposed_copy(false, rng);
+}
+
 TEST(Kernels, IntoFormsRejectBadOutputShapes) {
   ht::Tensor a({2, 3});
   ht::Tensor b({3, 4});
