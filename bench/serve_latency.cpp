@@ -45,7 +45,7 @@ struct Row {
   Algo algo = Algo::Hanayo;
   std::string algo_name;
   int P = 0, W = 0, batch = 0, dp = 1;
-  bool paged = false;
+  bool prefix_cache = true;
   int64_t prompt_tokens = 0;
   int new_tokens = 0;
   double prefill_tok_s = 0.0;
@@ -55,15 +55,15 @@ struct Row {
   double meas_prefill_pass_ms = 0.0;       ///< mean measured prefill pass
   double uncal_predicted_per_token_ms = 0.0;  ///< raw event-sim prediction
   double predicted_per_token_ms = 0.0;        ///< + fitted serving calibration
-  int64_t kv_pages_peak = 0;        ///< paged rows: pool high-water mark
-  int64_t prefix_hit_tokens = 0;    ///< paged rows: prompt tokens from cache
+  int64_t kv_pages_peak = 0;        ///< KV pool high-water mark
+  int64_t prefix_hit_tokens = 0;    ///< prompt tokens from the prefix cache
 };
 
 InferenceSession::Builder config_builder(const ModelConfig& model,
                                          const perf::Calibration& cal,
                                          Algo algo, int P, int W, int batch,
                                          int dp, int64_t prompt_len,
-                                         int new_tokens, bool paged) {
+                                         int new_tokens, bool prefix_cache) {
   auto builder = InferenceSession::builder();
   builder.model(model)
       .algo(algo)
@@ -75,8 +75,8 @@ InferenceSession::Builder config_builder(const ModelConfig& model,
       .prompt_tokens(prompt_len)
       .data_parallel(dp)
       .calibration(cal)
+      .prefix_cache(prefix_cache)
       .seed(7);
-  if (paged) builder.paged_kv().kv_page_tokens(16);
   return builder;
 }
 
@@ -90,7 +90,7 @@ double p99(std::vector<double> v) {
 
 Row run_config(const ModelConfig& model, const perf::Calibration& cal,
                Algo algo, int P, int W, int batch, int dp, int64_t prompt_len,
-               int new_tokens, int run_repeats, bool paged = false) {
+               int new_tokens, int run_repeats, bool prefix_cache = true) {
   // Whether concurrent replica/worker passes collide on the host's cores is
   // a per-drain scheduling lottery — within one drain the overlap phase
   // persists, so averaging more passes inside one drain does not converge
@@ -103,7 +103,7 @@ Row run_config(const ModelConfig& model, const perf::Calibration& cal,
   ServeReport sla;
   for (int r = 0; r < run_repeats; ++r) {
     auto server = config_builder(model, cal, algo, P, W, batch, dp, prompt_len,
-                                 new_tokens, paged)
+                                 new_tokens, prefix_cache)
                       .build();
     Rng rng(13);
     // Two full batches per replica: the second re-fills freed slots
@@ -132,7 +132,7 @@ Row run_config(const ModelConfig& model, const perf::Calibration& cal,
   row.W = W;
   row.batch = batch;
   row.dp = dp;
-  row.paged = paged;
+  row.prefix_cache = prefix_cache;
   row.kv_pages_peak = rep.kv_pages_peak;
   row.prefix_hit_tokens = rep.prefix_hit_tokens;
   row.prompt_tokens = rep.prompt_tokens;
@@ -165,7 +165,7 @@ double median(std::vector<double> v) {
 // a failing bench-smoke run before it can show up as p99 jitter.
 constexpr int kExtraDecodePasses = 32;
 
-int64_t steady_decode_extra_allocs(bool paged) {
+int64_t steady_decode_extra_allocs() {
   runtime::InferConfig cfg;
   cfg.model = ModelConfig::tiny(6, 32, 2, 67, 96);
   cfg.sched.algo = Algo::Hanayo;
@@ -174,8 +174,6 @@ int64_t steady_decode_extra_allocs(bool paged) {
   cfg.max_batch = 1;
   cfg.max_new_tokens = 64;
   cfg.seed = 5;
-  cfg.paged_kv = paged;
-  if (paged) cfg.kv_page_tokens = 16;
   runtime::InferencePipeline pipe(cfg);
   Tensor prompt({1, 8});
   for (int64_t i = 0; i < prompt.numel(); ++i) {
@@ -273,16 +271,17 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // One paged-KV point next to its contiguous twin: same closed batch, KV
-  // through the page pool (kv_pages_peak / prefix_hit_tokens columns show
-  // the pool footprint; prompts are random here, so cache hits are
-  // incidental — the shared-prefix workload lives in bench/traffic).
+  // One private-pages point next to its prefix-cache twin: same closed
+  // batch, every stream's pages private (kv_pages_peak shows the pool
+  // footprint; prompts are random here, so cache hits are incidental — the
+  // shared-prefix workload lives in bench/traffic).
   {
     const int batch = short_mode ? 2 : 4;
-    std::printf("serve hanayo   P=2 W=2 batch=%d dp=1 [paged] ...\n", batch);
+    std::printf("serve hanayo   P=2 W=2 batch=%d dp=1 [private pages] ...\n",
+                batch);
     rows.push_back(run_config(model, cal, Algo::Hanayo, 2, 2, batch, 1,
                               prompt_len, new_tokens, short_mode ? 1 : 5,
-                              /*paged=*/true));
+                              /*prefix_cache=*/false));
   }
 
   // Fit the serving-side coefficients from the sweep's own measured rows,
@@ -310,20 +309,17 @@ int main(int argc, char** argv) {
       sc.host_cores, sc.fit_rows, sc.residual_log_rms);
   for (Row& r : rows) {
     auto builder = config_builder(model, cal, r.algo, r.P, r.W, r.batch, r.dp,
-                                  prompt_len, r.new_tokens, r.paged);
+                                  prompt_len, r.new_tokens, r.prefix_cache);
     builder.serving_calibration(sc);
     const ServeReport pred = api::predict_serving(builder.config());
     r.predicted_per_token_ms = pred.per_token_latency_s() * 1e3;
   }
 
-  // Steady-state decode allocation audit (differential, both KV layouts).
+  // Steady-state decode allocation audit (differential).
   std::printf("measuring steady-state decode allocations ...\n");
-  const int64_t allocs_contig = steady_decode_extra_allocs(false);
-  const int64_t allocs_paged = steady_decode_extra_allocs(true);
-  std::printf("  allocs over %d decode passes: contiguous %lld, paged %lld "
-              "(target 0)\n",
-              kExtraDecodePasses, static_cast<long long>(allocs_contig),
-              static_cast<long long>(allocs_paged));
+  const int64_t allocs = steady_decode_extra_allocs();
+  std::printf("  allocs over %d decode passes: %lld (target 0)\n",
+              kExtraDecodePasses, static_cast<long long>(allocs));
 
   // Residual band over the calibrated predictions, both directions.
   std::vector<double> abs_logs;
@@ -374,9 +370,8 @@ int main(int argc, char** argv) {
                sc.fit_rows, sc.residual_log_rms);
   std::fprintf(f,
                "  \"steady_decode_extra_allocs\": {\"passes\": %d, "
-               "\"contiguous\": %lld, \"paged\": %lld, \"gated\": %s},\n",
-               kExtraDecodePasses, static_cast<long long>(allocs_contig),
-               static_cast<long long>(allocs_paged),
+               "\"allocs\": %lld, \"gated\": %s},\n",
+               kExtraDecodePasses, static_cast<long long>(allocs),
                alloc_gate ? "true" : "false");
   std::fprintf(f,
                "  \"residuals\": {\"median_abs_log\": %.4f, "
@@ -409,7 +404,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"algo\": \"%s\", \"P\": %d, \"W\": %d, \"max_batch\": %d, "
-        "\"dp\": %d, \"paged\": %s, \"prompt_tokens\": %lld, "
+        "\"dp\": %d, \"prefix_cache\": %s, \"prompt_tokens\": %lld, "
         "\"prefill_tok_s\": %.1f, "
         "\"overall_tok_s\": %.1f, \"per_token_ms\": %.4f, "
         "\"p99_per_token_ms\": %.4f, "
@@ -418,7 +413,8 @@ int main(int argc, char** argv) {
         "\"uncal_meas_over_pred\": %.2f, "
         "\"kv_pages_peak\": %lld, \"prefix_hit_tokens\": %lld}%s\n",
         r.algo_name.c_str(), r.P, r.W, r.batch, r.dp,
-        r.paged ? "true" : "false", static_cast<long long>(r.prompt_tokens),
+        r.prefix_cache ? "true" : "false",
+        static_cast<long long>(r.prompt_tokens),
         r.prefill_tok_s, r.overall_tok_s, r.per_token_ms, r.p99_per_token_ms,
         r.predicted_per_token_ms, ratio, r.uncal_predicted_per_token_ms,
         uncal_ratio, static_cast<long long>(r.kv_pages_peak),
@@ -463,13 +459,11 @@ int main(int argc, char** argv) {
                  median_abs_log, gate_band);
     return 2;
   }
-  if (alloc_gate && (allocs_contig > 0 || allocs_paged > 0)) {
+  if (alloc_gate && allocs > 0) {
     std::fprintf(stderr,
-                 "FAIL: steady-state decode allocates (contiguous %lld, "
-                 "paged %lld over %d passes; target 0) — a pass-lifetime "
-                 "buffer left the arena\n",
-                 static_cast<long long>(allocs_contig),
-                 static_cast<long long>(allocs_paged), kExtraDecodePasses);
+                 "FAIL: steady-state decode allocates (%lld over %d passes; "
+                 "target 0) — a pass-lifetime buffer left the arena\n",
+                 static_cast<long long>(allocs), kExtraDecodePasses);
     return 3;
   }
   return 0;

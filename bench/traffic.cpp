@@ -26,11 +26,11 @@
 // BENCH_traffic.json doubles as its calibration record. A final row re-runs the 1x Poisson point under
 // deterministic fault injection (seeded slow passes) to show degradation
 // with conservation intact, and a shared-prefix chat row re-runs it with
-// the paged KV store on and every prompt carrying a common system-prompt
+// the prefix cache on and every prompt carrying a common system-prompt
 // head — its prefill_saved_tok / prefix_hit_rate columns are the measured
 // prefix-cache savings, and the JSON's paged_admission block records the
-// admission arithmetic (streams admissible from one pool under paged vs
-// contiguous pricing).
+// admission arithmetic (streams admissible from one pool when each is
+// priced at a full-seq worst case vs at its pages with the head shared).
 //
 // The bench fails (non-zero exit) if any row breaks conservation
 // (submitted != served + rejected + cancelled + timed_out): CI's
@@ -100,8 +100,8 @@ struct Row {
   double load_mult = 0.0;
   double offered_req_s = 0.0;
   bool fault = false;
-  bool paged = false;
-  int64_t pages_peak = 0;          ///< pool high-water mark (paged rows)
+  bool prefix_cache = false;
+  int64_t pages_peak = 0;          ///< KV pool high-water mark
   int64_t prefill_saved_tok = 0;   ///< prompt tokens served from the cache
   double prefix_hit_rate = 0.0;
   int64_t submitted = 0, served = 0, rejected = 0, cancelled = 0,
@@ -132,7 +132,7 @@ struct Scenario {
   /// Chat workload: a common head of this many fixed tokens prepended to
   /// every prompt (0 = fully random prompts).
   int64_t shared_prefix_tokens = 0;
-  bool paged = false;  ///< serve through the paged KV store + prefix cache
+  bool prefix_cache = false;  ///< share cached prompt pages across requests
   int kv_page_tokens = 16;
   /// Serving-side cost calibration fitted from this run's own warm-up
   /// drains; every server (and hence every predict()) prices under it.
@@ -158,7 +158,7 @@ InferenceSession build_server(const Scenario& sc, double offered_req_s,
       .fault(fault)
       .seed(7);
   if (sc.scal) b.serving_calibration(*sc.scal);
-  if (sc.paged) b.paged_kv().kv_page_tokens(sc.kv_page_tokens);
+  b.prefix_cache(sc.prefix_cache).kv_page_tokens(sc.kv_page_tokens);
   return b.build();
 }
 
@@ -255,7 +255,7 @@ Row run_point(const Scenario& sc, Arrival pattern, double mult,
   row.load_mult = mult;
   row.offered_req_s = lambda;
   row.fault = fault.enabled();
-  row.paged = sc.paged;
+  row.prefix_cache = sc.prefix_cache;
   row.pages_peak = rep.kv_pages_peak;
   row.prefill_saved_tok = rep.prefill_tokens_saved();
   row.prefix_hit_rate = rep.prefix_hit_rate();
@@ -301,8 +301,8 @@ Row run_point(const Scenario& sc, Arrival pattern, double mult,
       static_cast<long long>(rep.timed_out), row.p50_ttft_ms, row.p99_ttft_ms,
       row.pred_p50_ttft_ms, row.pred_p99_ttft_ms,
       fault.enabled() ? "  [fault]" : "");
-  if (sc.paged) {
-    std::printf("  [paged: %lld tok saved, %.0f%% hit, peak %lld pages]",
+  if (sc.prefix_cache) {
+    std::printf("  [prefix cache: %lld tok saved, %.0f%% hit, peak %lld pages]",
                 static_cast<long long>(row.prefill_saved_tok),
                 row.prefix_hit_rate * 100.0,
                 static_cast<long long>(row.pages_peak));
@@ -434,13 +434,13 @@ int main(int argc, char** argv) {
   rows.push_back(
       run_point(sc, Arrival::Poisson, short_mode ? 2.0 : 1.0, fault));
 
-  // Chat workload through the paged KV store: every request carries the
+  // Chat workload through the prefix cache: every request carries the
   // same 16-token system-prompt head, so after the first stream on each
   // replica publishes it, later admissions adopt the cached pages and
   // prefill only their unique tail. The row's prefill_saved_tok /
   // prefix_hit_rate columns are the measured savings.
   Scenario chat = sc;
-  chat.paged = true;
+  chat.prefix_cache = true;
   chat.shared_prefix_tokens = 16;
   chat.prompt_len = 24;  // 16 shared head + 8 unique per request
   rows.push_back(run_point(chat, Arrival::Poisson, short_mode ? 2.0 : 1.0));
@@ -510,8 +510,8 @@ int main(int argc, char** argv) {
     // Admission arithmetic for the shared-prefix chat row: from one
     // per-replica page pool (the derived default — max_batch worst-case
     // full-context streams plus their COW spares), how many streams of the
-    // chat workload are admissible under contiguous pricing (a full-seq
-    // slab per stream, what the unpaged path reserves) vs paged pricing
+    // chat workload are admissible under worst-case pricing (a full-seq
+    // reservation per stream, the "contiguous" keys) vs paged pricing
     // (KvStore::pages_needed: pages to the final length, minus the cached
     // head's pages, plus one COW spare per lane).
     const int64_t lanes = runtime::kv_lanes(chat.model);
@@ -554,7 +554,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"pattern\": \"%s\", \"workload\": \"%s\", \"load_mult\": %.2f, "
-        "\"offered_req_s\": %.2f, \"fault\": %s, \"paged\": %s, "
+        "\"offered_req_s\": %.2f, \"fault\": %s, \"prefix_cache\": %s, "
         "\"submitted\": %lld, "
         "\"served\": %lld, \"rejected\": %lld, \"cancelled\": %lld, "
         "\"timed_out\": %lld, \"duration_s\": %.3f, "
@@ -567,7 +567,7 @@ int main(int argc, char** argv) {
         "\"pages_peak\": %lld, "
         "\"prefill_saved_tok\": %lld, \"prefix_hit_rate\": %.3f}%s\n",
         r.pattern.c_str(), r.workload.c_str(), r.load_mult, r.offered_req_s,
-        r.fault ? "true" : "false", r.paged ? "true" : "false",
+        r.fault ? "true" : "false", r.prefix_cache ? "true" : "false",
         static_cast<long long>(r.submitted),
         static_cast<long long>(r.served), static_cast<long long>(r.rejected),
         static_cast<long long>(r.cancelled),

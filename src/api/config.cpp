@@ -104,7 +104,6 @@ runtime::InferConfig InferenceConfig::infer_config() const {
   ic.sampling = sampling;
   ic.stop_tokens = stop_tokens;
   ic.kv_fp16 = kv_fp16;
-  ic.paged_kv = paged_kv;
   ic.kv_page_tokens = kv_page_tokens;
   ic.kv_pool_pages = kv_pool_pages;
   ic.prefix_cache = prefix_cache;

@@ -126,24 +126,20 @@ struct InferenceConfig : EngineConfig {
   /// the last token; the Completion says StopReason::StopToken); the KV
   /// slot frees at the next pass boundary.
   std::vector<int64_t> stop_tokens;
-  /// Half-precision KV-cache storage: cached K/V panels are stored as fp16
-  /// words and converted back for the attention kernels, halving
-  /// slot_bytes() (decode logits change within fp16 rounding; the
-  /// cross-backend token-identity guarantee still holds, because every
-  /// engine quantizes identically).
+  /// KV storage (runtime/kv_store.hpp): per-stream K/V rows live in pooled
+  /// fixed-size pages, admission is priced in pages actually needed, and
+  /// requests sharing a prompt prefix reuse cached pages (skipping the
+  /// shared prefill).
+  /// Half-precision pages: K/V rows are stored as fp16 words and converted
+  /// back for the attention kernels, halving slot_bytes() (decode logits
+  /// change within fp16 rounding; the cross-backend token-identity
+  /// guarantee still holds, because every engine quantizes identically).
   bool kv_fp16 = false;
-  /// Paged KV storage with cross-request prefix caching
-  /// (runtime/kv_store.hpp): per-stream K/V rows live in pooled fixed-size
-  /// pages, admission is priced in pages actually needed, and requests
-  /// sharing a prompt prefix reuse cached pages (skipping the shared
-  /// prefill). Decode tokens stay bitwise identical to the contiguous path.
-  bool paged_kv = false;
   int kv_page_tokens = 16;  ///< token rows per page, per attention layer
-  /// Per-replica pool size in pages; 0 derives the contiguous-equivalent
-  /// capacity (max_batch worst-case streams always fit).
+  /// Per-replica pool size in pages; 0 derives max_batch worst-case
+  /// full-context streams (see runtime::InferConfig::kv_pool_pages).
   int64_t kv_pool_pages = 0;
-  /// Cross-request prefix caching (only meaningful with paged_kv). Off
-  /// keeps paging but makes every stream's pages private.
+  /// Cross-request prefix caching. Off makes every stream's pages private.
   bool prefix_cache = true;
   /// Nominal prompt length used by predict() and the Sim backend (the
   /// measured backends use real request lengths). Defaults to half the

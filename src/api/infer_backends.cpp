@@ -10,6 +10,7 @@
 #include <string>
 
 #include "api/inference.hpp"
+#include "core/sync.hpp"
 #include "runtime/infer.hpp"
 #include "tensor/rng.hpp"
 
@@ -74,10 +75,11 @@ class ReferenceInferBackend final : public InferBackend {
       : cfg_(cfg),
         module_(cfg.model.layer_descs(), 0,
                 static_cast<int>(cfg.model.layer_descs().size()), cfg.seed,
-                cfg.model.init_std) {
-    // Same half-precision cache quantization as the pipeline workers, so
-    // the token-identity guarantee extends to kv_fp16 runs.
-    module_.set_kv_fp16(cfg.kv_fp16);
+                cfg.model.init_std),
+        store_(runtime::private_stream_store(cfg.infer_config())) {
+    // Same fp16 page quantization as the pipeline workers, so the
+    // token-identity guarantee extends to kv_fp16 runs.
+    module_.set_kv_store(&store_);
   }
 
   BackendKind kind() const override { return BackendKind::Reference; }
@@ -93,26 +95,41 @@ class ReferenceInferBackend final : public InferBackend {
         cfg_.model.seq, next_id_++, deadline_s, cfg_.deadline_s);
     r.on_token = std::move(on_token);
     const int64_t id = r.id;
+    std::lock_guard lk(mu_);
     queue_.push_back(std::move(r));
     stats_.submitted += 1;
     return id;
   }
 
-  void cancel(int64_t id) override { cancelled_.push_back(id); }
+  /// Marks only a queued request or the one decoding now (thread-safe; the
+  /// call may also come from the request's on_token callback). Any other
+  /// id leaves no mark.
+  void cancel(int64_t id) override {
+    std::lock_guard lk(mu_);
+    const bool live =
+        id == decoding_ ||
+        std::any_of(queue_.begin(), queue_.end(),
+                    [id](const runtime::InferRequest& r) { return r.id == id; });
+    if (live && std::find(cancelled_.begin(), cancelled_.end(), id) ==
+                    cancelled_.end()) {
+      cancelled_.push_back(id);
+    }
+  }
 
   std::vector<Completion> drain() override {
     std::vector<Completion> out;
-    while (!queue_.empty()) {
-      runtime::InferRequest r = std::move(queue_.front());
-      queue_.pop_front();
+    runtime::InferRequest r;
+    while (pop(r)) {
       // The sequential analogue of the pipeline's admission checks: a
       // cancelled or already-expired request terminates without decoding.
       if (consume_cancelled(r.id)) {
+        retire(r.id);
         out.push_back(unserved(r, runtime::StopReason::Cancelled));
         stats_.cancelled += 1;
         continue;
       }
       if (r.deadline_s > 0.0 && runtime::serve_clock_s() > r.deadline_s) {
+        retire(r.id);
         out.push_back(unserved(r, runtime::StopReason::DeadlineExceeded));
         stats_.timed_out += 1;
         continue;
@@ -152,10 +169,13 @@ class ReferenceInferBackend final : public InferBackend {
           x[static_cast<int64_t>(i)] = static_cast<float>(seq[i]);
         }
         // Full-prefix recompute: a fresh KV stream every step.
-        module_.drop_slot(0);
+        store_.drop_slot(0);
+        if (!store_.open_slot(0, {}, x.size(1), nullptr)) {
+          throw std::logic_error("reference: KV pool below one stream");
+        }
         tensor::Tensor y = module_.decode(x, 0, 0);
         stats_.peak_kv_bytes =
-            std::max(stats_.peak_kv_bytes, module_.slot_bytes());
+            std::max(stats_.peak_kv_bytes, store_.slot_ref_bytes());
         const int64_t best = runtime::sample_last_row(y, cfg_.sampling, u);
         seq.push_back(best);
         if (c.tokens.empty()) c.first_token_s = runtime::serve_clock_s();
@@ -181,7 +201,8 @@ class ReferenceInferBackend final : public InferBackend {
           break;
         }
       }
-      module_.drop_slot(0);
+      store_.drop_slot(0);
+      retire(r.id);
       c.finish_s = runtime::serve_clock_s();
       if (c.served()) {
         stats_.completed += 1;
@@ -201,11 +222,32 @@ class ReferenceInferBackend final : public InferBackend {
   }
 
  private:
+  /// Pops the oldest request into `r`, which stays cancellable until
+  /// retire(r.id); false when the queue is empty.
+  bool pop(runtime::InferRequest& r) {
+    std::lock_guard lk(mu_);
+    if (queue_.empty()) return false;
+    r = std::move(queue_.front());
+    queue_.pop_front();
+    decoding_ = r.id;
+    return true;
+  }
+
   bool consume_cancelled(int64_t id) {
+    std::lock_guard lk(mu_);
     const auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
     if (it == cancelled_.end()) return false;
     cancelled_.erase(it);
     return true;
+  }
+
+  /// `id` reached its terminal state: no longer cancellable, and a mark
+  /// that arrived after its last step goes with it.
+  void retire(int64_t id) {
+    std::lock_guard lk(mu_);
+    decoding_ = -1;
+    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), id),
+                     cancelled_.end());
   }
 
   static Completion unserved(const runtime::InferRequest& r,
@@ -221,8 +263,14 @@ class ReferenceInferBackend final : public InferBackend {
 
   InferenceConfig cfg_;
   model::StageModule module_;
+  runtime::KvStore store_;
+  /// Guards queue_, cancelled_, decoding_ and stats_.submitted: enqueue()
+  /// and cancel() may run on other threads (or inside on_token) while
+  /// drain() runs. Never held across decoding or a callback.
+  sync::Mutex<sync::Rank::ServeQueue> mu_;
   std::deque<runtime::InferRequest> queue_;
   std::vector<int64_t> cancelled_;
+  int64_t decoding_ = -1;  ///< popped, not yet retired; -1 between requests
   int64_t next_id_ = 0;
   runtime::ServeStats stats_;
 };

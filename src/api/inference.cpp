@@ -47,8 +47,8 @@ perf::ServingPoint InferenceConfig::serving_point() const {
   pt.max_new_tokens = max_new_tokens;
   pt.stop_tokens = stop_tokens;
   pt.kv_fp16 = kv_fp16;
-  pt.kv_page_tokens = paged_kv ? kv_page_tokens : 0;
-  pt.kv_pool_pages = paged_kv ? kv_pool_pages : 0;
+  pt.kv_page_tokens = kv_page_tokens;
+  pt.kv_pool_pages = kv_pool_pages;
   pt.tf = sched.tf;
   pt.tb = sched.tb;
   return pt;
@@ -128,10 +128,10 @@ InferenceSession::Builder& InferenceSession::Builder::auto_plan(
   if (t.max_new_tokens <= 0) t.max_new_tokens = cfg_.max_new_tokens;
   if (t.stop_tokens.empty()) t.stop_tokens = cfg_.stop_tokens;
   t.kv_fp16 = t.kv_fp16 || cfg_.kv_fp16;
-  if (t.kv_page_tokens <= 0 && cfg_.paged_kv) {
+  if (t.kv_page_tokens == perf::ServeTarget{}.kv_page_tokens) {
     t.kv_page_tokens = cfg_.kv_page_tokens;
-    if (t.kv_pool_pages <= 0) t.kv_pool_pages = cfg_.kv_pool_pages;
   }
+  if (t.kv_pool_pages <= 0) t.kv_pool_pages = cfg_.kv_pool_pages;
   // Load assumptions follow the same back-fill-then-adopt rule, so a
   // builder-configured deadline or offered rate prices the search and a
   // target-specified one lands back in the session config.
@@ -163,11 +163,8 @@ InferenceSession::Builder& InferenceSession::Builder::auto_plan(
   cfg_.max_new_tokens = t.max_new_tokens;
   cfg_.stop_tokens = t.stop_tokens;
   cfg_.kv_fp16 = t.kv_fp16;
-  if (t.kv_page_tokens > 0) {
-    cfg_.paged_kv = true;
-    cfg_.kv_page_tokens = t.kv_page_tokens;
-    if (t.kv_pool_pages > 0) cfg_.kv_pool_pages = t.kv_pool_pages;
-  }
+  cfg_.kv_page_tokens = t.kv_page_tokens;
+  cfg_.kv_pool_pages = t.kv_pool_pages;
   cfg_.offered_req_s = t.offered_req_s;
   cfg_.deadline_s = t.deadline_s;
   if (t.queue_cap > 0) {

@@ -173,18 +173,17 @@ class InferenceSession::Builder
   Builder& eos(int64_t id) { cfg_.stop_tokens.push_back(id); return *this; }
   /// Data-parallel serving replicas draining one shared request queue.
   Builder& data_parallel(int dp) { cfg_.dp = dp; return *this; }
-  /// Half-precision KV-cache storage (see InferenceConfig::kv_fp16).
+  /// Half-precision KV pages (see InferenceConfig::kv_fp16).
   Builder& kv_fp16(bool on = true) { cfg_.kv_fp16 = on; return *this; }
-  /// Paged KV storage with prefix caching (see InferenceConfig::paged_kv):
-  /// pooled fixed-size pages, page-priced admission, shared prompt-prefix
-  /// pages. Decode tokens stay bitwise identical to the contiguous path.
-  Builder& paged_kv(bool on = true) { cfg_.paged_kv = on; return *this; }
-  /// Token rows per KV page (per attention layer; paged_kv only).
+  /// Does nothing: KV storage is always paged. Kept so older callers that
+  /// asked for paging still compile; it takes no value.
+  Builder& paged_kv() { return *this; }
+  /// Token rows per KV page (per attention layer; default 16).
   Builder& kv_page_tokens(int n) { cfg_.kv_page_tokens = n; return *this; }
-  /// Per-replica page-pool size; 0 derives the contiguous-equivalent
-  /// capacity (max_batch worst-case streams always fit).
+  /// Per-replica page-pool size; 0 derives max_batch worst-case
+  /// full-context streams (they always fit).
   Builder& kv_pool_pages(int64_t n) { cfg_.kv_pool_pages = n; return *this; }
-  /// Cross-request prefix caching toggle (paged_kv only; default on).
+  /// Cross-request prefix caching toggle (default on).
   Builder& prefix_cache(bool on = true) {
     cfg_.prefix_cache = on;
     return *this;

@@ -97,10 +97,10 @@ struct ServeReport {
   double prefill_s = 0.0;
   double decode_s = 0.0;
   int64_t peak_kv_bytes = 0;
-  /// Paged-KV columns (all zero when InferenceConfig::paged_kv is off):
-  /// pool pages allocated at report time / the run's high-water mark, and
-  /// the prefix cache's admission hits / prompt tokens those hits skipped
-  /// at prefill (== prefill tokens saved).
+  /// KV page columns (zero in predictions): pool pages allocated at report
+  /// time / the run's high-water mark, and the prefix cache's admission
+  /// hits / prompt tokens those hits skipped at prefill (== prefill tokens
+  /// saved).
   int64_t kv_pages_in_use = 0;
   int64_t kv_pages_peak = 0;
   int64_t prefix_hits = 0;
@@ -174,8 +174,8 @@ struct ServeReport {
   double p99_ttft_s() const;
   double p50_request_token_latency_s() const;
   double p99_request_token_latency_s() const;
-  /// Prompt tokens the prefix cache kept out of prefill (paged_kv with
-  /// prefix caching; 0 otherwise).
+  /// Prompt tokens the prefix cache kept out of prefill (0 with the
+  /// prefix cache off).
   int64_t prefill_tokens_saved() const { return prefix_hit_tokens; }
   /// Fraction of admitted prompt tokens served from cached pages, in
   /// [0, 1]; 0 when nothing was admitted.

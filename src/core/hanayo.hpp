@@ -110,20 +110,19 @@
 //                                           // finish timestamps on each
 //   auto load_rep = sla_server.report();    // p50/p99 TTFT over survivors
 //
-// Paged KV & prefix caching swap the per-stream contiguous KV slabs for a
-// pooled page allocator with a cross-request prefix cache: fixed-size pages
-// (kv_page_tokens rows per attention layer), admission priced in pages a
-// request can actually need instead of a worst-case slot, and requests that
-// share a prompt head (a common system prompt) adopting the published pages
-// and skipping that part of prefill — while decoding tokens that stay
-// bitwise identical to the contiguous path. Chat-style reuse:
+// KV storage is a pooled page allocator with a cross-request prefix cache:
+// fixed-size pages (kv_page_tokens rows per attention layer, default 16),
+// admission priced in pages a request can actually need instead of a
+// worst-case slot, and requests that share a prompt head (a common system
+// prompt) adopting the published pages and skipping that part of prefill —
+// while decoding tokens that stay bitwise identical to private pages
+// (.prefix_cache(false)). Chat-style reuse:
 //
 //   auto paged = hanayo::InferenceSession::builder()
 //                    .model(hanayo::ModelConfig::tiny(6, 32, 2, 67,
 //                                                     /*seq=*/24))
 //                    .backend(hanayo::BackendKind::Threads)
 //                    .pipeline(2).max_batch(1).max_new_tokens(4)
-//                    .paged_kv()           // pooled pages + prefix cache
 //                    .kv_page_tokens(8)    // rows per page per layer
 //                    .build();
 //   hanayo::Tensor turn1({1, 12}), turn2({1, 12});  // ids: same first 8
@@ -138,7 +137,7 @@
 //
 // (.kv_pool_pages(n) bounds the per-replica pool — a dry pool holds
 // requests back or sheds them under QueuePolicy instead of deadlocking;
-// .prefix_cache(false) keeps paging but disables cross-request sharing.)
+// .prefix_cache(false) makes every stream's pages private.)
 //
 // The pre-Session entry points (Trainer, AsyncTrainer, SequentialEngine and
 // their config structs) remain available below as compatibility shims; the

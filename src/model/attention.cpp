@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "runtime/kv_store.hpp"
 #include "tensor/arena.hpp"
-#include "tensor/half.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -172,159 +170,28 @@ Tensor MultiHeadAttention::backward(const Tensor& dy, int mb) {
 
 Tensor MultiHeadAttention::forward_infer(const Tensor& x, int64_t pos0,
                                          int slot) {
-  Tensor qkv = qkv_proj_.forward_infer(x, pos0, slot);  // [b, t, 3h]
-  if (store_ != nullptr) {
-    return out_proj_.forward_infer(attend_paged(qkv, pos0, slot), pos0, slot);
+  if (store_ == nullptr) {
+    throw std::logic_error(name_ + ": decode needs a KV store (set_kv_store)");
   }
-
-  const int64_t b = x.size(0), t = x.size(1);
-  const int64_t row = b * hidden_;  // b * heads * dk
-  const int64_t h3 = 3 * hidden_;
-  const int64_t total = pos0 + t;
-  const float* kcache = nullptr;
-  const float* vcache = nullptr;
-  Tensor kf, vf;  // fp16 contiguous mode: per-call fp32 panels
-
-  KvSlot& kv = kv_[slot];
-  if (kv.len == 0) kv.batch = b;
-  if (kv.batch != b) {
-    throw std::invalid_argument(name_ + ": slot batch changed mid-stream");
-  }
-  if (pos0 != kv.len) {
-    throw std::logic_error(name_ + ": decode out of order (pos0 " +
-                           std::to_string(pos0) + ", cached " +
-                           std::to_string(kv.len) + ")");
-  }
-
-  // Append this call's K/V rows (time-major: one contiguous row per token).
-  if (kv_fp16_) {
-    // Half-precision storage: same [len, row] layout, binary16 words. Rows
-    // quantize on append — once per token, whichever call produced it — so
-    // incremental decode and full-prefix recompute still see identical
-    // cached bits.
-    const size_t need = static_cast<size_t>(total * row);
-    if (kv.k16.capacity() < need) {
-      // Fresh slots reserve the whole configured stream capacity up
-      // front (a per-request cost), so no decode pass reallocates.
-      const size_t floor = static_cast<size_t>(
-          (kv_capacity_ > 0 ? kv_capacity_ : 16) * row);
-      const size_t newcap = std::max({need, 2 * kv.k16.capacity(), floor});
-      kv.k16.reserve(newcap);
-      kv.v16.reserve(newcap);
-    }
-    kv.k16.resize(need);
-    kv.v16.resize(need);
-    for (int64_t j = 0; j < t; ++j) {
-      for (int64_t n = 0; n < b; ++n) {
-        const float* src = qkv.data() + (n * t + j) * h3;
-        uint16_t* kdst = kv.k16.data() + (kv.len + j) * row + n * hidden_;
-        uint16_t* vdst = kv.v16.data() + (kv.len + j) * row + n * hidden_;
-        for (int64_t i = 0; i < hidden_; ++i) {
-          kdst[i] = float_to_half(src[hidden_ + i]);
-          vdst[i] = float_to_half(src[2 * hidden_ + i]);
-        }
-      }
-    }
-  } else {
-    if (kv.k.numel() < total * row) {
-      // KV panels outlive the pass, so they must not come from the pass
-      // arena; fresh slots also jump straight to the configured stream
-      // capacity so steady-state decode never re-allocates them.
-      tensor::ArenaPause heap_kv;
-      const int64_t cap = kv.k.numel() / std::max<int64_t>(row, 1);
-      const int64_t newcap = std::max<int64_t>(
-          {total, 2 * cap, kv_capacity_ > 0 ? kv_capacity_ : 16});
-      Tensor nk({newcap, row}), nv({newcap, row});
-      if (kv.len > 0) {
-        std::memcpy(nk.data(), kv.k.data(),
-                    static_cast<size_t>(kv.len * row) * sizeof(float));
-        std::memcpy(nv.data(), kv.v.data(),
-                    static_cast<size_t>(kv.len * row) * sizeof(float));
-      }
-      kv.k = std::move(nk);
-      kv.v = std::move(nv);
-    }
-    for (int64_t j = 0; j < t; ++j) {
-      for (int64_t n = 0; n < b; ++n) {
-        const float* src = qkv.data() + (n * t + j) * h3;
-        float* kdst = kv.k.data() + (kv.len + j) * row + n * hidden_;
-        float* vdst = kv.v.data() + (kv.len + j) * row + n * hidden_;
-        std::memcpy(kdst, src + hidden_,
-                    static_cast<size_t>(hidden_) * sizeof(float));
-        std::memcpy(vdst, src + 2 * hidden_,
-                    static_cast<size_t>(hidden_) * sizeof(float));
-      }
-    }
-  }
-  kv.len = total;
-
-  // fp16 storage: materialise fp32 panels for the kernels, one conversion
-  // pass per decode call (the resident cache stays half precision).
-  if (kv_fp16_) {
-    kf = Tensor({total, row});
-    vf = Tensor({total, row});
-    float* kp = kf.data();
-    float* vp = vf.data();
-    for (int64_t i = 0; i < total * row; ++i) {
-      kp[i] = half_to_float(kv.k16[static_cast<size_t>(i)]);
-      vp[i] = half_to_float(kv.v16[static_cast<size_t>(i)]);
-    }
-    kcache = kf.data();
-    vcache = vf.data();
-  } else {
-    kcache = kv.k.data();
-    vcache = kv.v.data();
-  }
-
-  // Attend each new token over the cached prefix. Extents are per *row*
-  // (jext = absolute position + 1), so every row's value is identical
-  // whether the prefix arrived in one prefill call or token by token.
-  Tensor probs({b * heads_, t, total});
-  Tensor ctx({b, t, hidden_});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
-  const float* qkvp = qkv.data();
-  float* probsp = probs.data();
-  float* ctxp = ctx.data();
-  const bool causal = causal_;
-  const int64_t heads = heads_, dk = dk_, hidden = hidden_;
-
-  parallel_for(b * heads, 1, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      const int64_t n = p / heads, hh = p % heads;
-      const float* q = qkvp + n * t * h3 + hh * dk;
-      const float* kc = kcache + (n * heads + hh) * dk;
-      const float* vc = vcache + (n * heads + hh) * dk;
-      float* prob = probsp + p * t * total;
-      for (int64_t r = 0; r < t; ++r) {
-        const int64_t jmax = causal ? pos0 + r + 1 : total;
-        float* prow = prob + r * total;
-        // scores = q_r K^T over the visible prefix (strided cache panel)
-        kernels::gemm_bt(1, jmax, dk, q + r * h3, h3, kc, row, prow, total,
-                         false);
-        kernels::softmax_row(prow, jmax, scale);
-        // context = probs @ V over the visible prefix
-        kernels::gemm(1, dk, jmax, prow, total, vc, row,
-                      ctxp + (n * t + r) * hidden + hh * dk, hidden, false);
-      }
-    }
-  });
-
-  return out_proj_.forward_infer(ctx, pos0, slot);
+  Tensor qkv = qkv_proj_.forward_infer(x, pos0, slot);  // [1, t, 3h]
+  return out_proj_.forward_infer(attend(qkv, pos0, slot), pos0, slot);
 }
 
-// Paged attention reads K/V in place, one page at a time (page layout in
+// Decode attention reads K/V in place, one page at a time (page layout in
 // runtime/kv_store.hpp). Pages are the outer loop, so every page is read
 // once per pass for the scores and once for probs x V, for all query rows
-// and heads at once — fp16 pages dequantize one half per read. Per
-// element the arithmetic is the contiguous path's: scores are ascending-kk
+// and heads at once — fp16 pages dequantize one half per read. Per element
+// the arithmetic is the training forward's: scores are ascending-kk
 // multiply-adds of q against a key-major page, probs x V multiply-adds V
 // rows in ascending token order, carried across pages in ctx (vecmat's
-// sequence is gemm's for m = 1), and the softmax is unchanged.
-Tensor MultiHeadAttention::attend_paged(const Tensor& qkv, int64_t pos0,
-                                        int slot) {
+// sequence is gemm's for m = 1), and the softmax is unchanged. Extents are
+// per *row* (absolute position + 1), so every row's value is identical
+// whether the prefix arrived in one prefill call or token by token.
+Tensor MultiHeadAttention::attend(const Tensor& qkv, int64_t pos0,
+                                  int slot) {
   const int64_t t = qkv.size(1);
   if (qkv.size(0) != 1) {
-    throw std::invalid_argument(name_ + ": paged KV requires batch-1 streams");
+    throw std::invalid_argument(name_ + ": decode streams are batch-1");
   }
   const int64_t cached = store_->lane_len(lane_, slot);
   if (pos0 != cached) {
@@ -394,33 +261,7 @@ Tensor MultiHeadAttention::attend_paged(const Tensor& qkv, int64_t pos0,
   return ctx;
 }
 
-int64_t MultiHeadAttention::slot_bytes() const {
-  int64_t bytes = 0;
-  for (const auto& [s, kv] : kv_) {
-    bytes += kv.k.bytes() + kv.v.bytes();
-    bytes += static_cast<int64_t>((kv.k16.size() + kv.v16.size()) *
-                                  sizeof(uint16_t));
-  }
-  return bytes;
-}
-
-void MultiHeadAttention::set_kv_fp16(bool on) {
-  if (on != kv_fp16_ && !kv_.empty()) {
-    throw std::logic_error(name_ +
-                           ": set_kv_fp16 while decode streams are in flight");
-  }
-  kv_fp16_ = on;
-}
-
-void MultiHeadAttention::set_kv_capacity(int64_t tokens) {
-  kv_capacity_ = tokens;
-}
-
 void MultiHeadAttention::set_kv_store(runtime::KvStore* store) {
-  if (!kv_.empty()) {
-    throw std::logic_error(
-        name_ + ": set_kv_store while decode streams are in flight");
-  }
   store_ = store;
   lane_ = store != nullptr ? store->register_lane() : -1;
 }

@@ -15,37 +15,21 @@ class MultiHeadAttention : public Layer {
 
   Tensor forward(const Tensor& x, int mb) override;
   Tensor backward(const Tensor& dy, int mb) override;
-  /// Incremental-decode forward. Appends the K/V rows of `x`'s tokens to the
-  /// slot's cache, then attends each new token over the whole cached prefix
-  /// with the strided gemm_bt/gemm kernels. `pos0` must equal the cached
-  /// length (tokens arrive in order). The last row is bit-identical to a
-  /// full-prefix recompute: K/V rows are per-token ascending-k dots whichever
-  /// call produced them, and the final row's score/context extents coincide
-  /// with the row-blocked training path's.
+  /// Incremental-decode forward. Appends the K/V rows of `x`'s tokens to
+  /// stream `slot` in the attached KV store (this layer's lane), then
+  /// attends each new token over the whole cached prefix, reading the
+  /// pages in place (layout in runtime/kv_store.hpp): scores multiply-add
+  /// q across each key-major page, probs x V multiply-adds its V rows, and
+  /// fp16 pages dequantize one page at a time. `x` is one stream ([1, t]);
+  /// `pos0` must equal the cached length (tokens arrive in order), and the
+  /// store must have opened `slot`. Throws std::logic_error without a
+  /// store. The last row is bit-identical to a full-prefix recompute: K/V
+  /// rows are per-token ascending-k dots (quantized once under fp16),
+  /// whichever call produced them, and every row's extent is its absolute
+  /// position + 1.
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void drop_slot(int slot) override { kv_.erase(slot); }
-  int64_t slot_bytes() const override;
-  /// Half-precision KV-cache storage: new slots keep their K/V panels as
-  /// fp16 words (tensor/half converters) and materialise fp32 panels for
-  /// the attention kernels per decode call — half the resident bytes for
-  /// one conversion pass. Throws if streams are already in flight.
-  void set_kv_fp16(bool on) override;
-  /// Paged KV mode: K/V rows are appended into `store`'s pooled pages (one
-  /// registered lane per layer), whose K half is key-major and V half
-  /// row-major (runtime/kv_store.hpp). Attention reads the pages in place,
-  /// page by page, with no copy of the prefix: scores are multiply-adds of
-  /// q across each page's keys, probs x V multiply-adds its V rows, in the
-  /// contiguous kernels' per-element order, and fp16 pages dequantize one
-  /// page at a time with the same quantise-once/dequantise pair — so
-  /// incremental decode keeps its full-prefix-recompute identity and
-  /// paged ≡ contiguous bitwise. Paged streams are batch-1 (serving
-  /// micro-batches). Throws if streams are already in flight.
+  /// Registers one lane in `store` (see Layer::set_kv_store).
   void set_kv_store(runtime::KvStore* store) override;
-  /// Worst-case tokens per decode stream: fresh contiguous slots
-  /// pre-reserve to this capacity so steady-state decode never grows KV
-  /// storage mid-pass (paged storage is sized by its pool). 0 = grow
-  /// geometrically on demand.
-  void set_kv_capacity(int64_t tokens) override;
   void collect_params(std::vector<Param*>& out) override;
   void drop_cache(int mb) override;
   std::string name() const override { return name_; }
@@ -58,37 +42,19 @@ class MultiHeadAttention : public Layer {
     Tensor ctx;    // [b, t, h] pre-output-projection context
   };
 
-  /// Per-decode-stream KV cache, time-major so appending a token appends
-  /// one contiguous row: k/v are [cap, b*heads*dk]; row j holds every
-  /// (batch, head)'s key/value of token j, and the per-(b,head) panel at
-  /// column (n*heads + hh)*dk has constant row stride b*heads*dk — exactly
-  /// the strided layout gemm_bt/gemm consume. With kv_fp16_ the rows live
-  /// in k16/v16 as binary16 words instead (same [len, row] layout, half
-  /// the bytes) and k/v stay empty.
-  struct KvSlot {
-    Tensor k, v;
-    std::vector<uint16_t> k16, v16;
-    int64_t len = 0;
-    int64_t batch = 0;
-  };
-
-  /// Paged forward_infer core: appends `qkv`'s K/V rows to the store and
+  /// forward_infer core: appends `qkv`'s K/V rows to the store and
   /// returns the pre-output-projection context [1, t, h].
-  Tensor attend_paged(const Tensor& qkv, int64_t pos0, int slot);
+  Tensor attend(const Tensor& qkv, int64_t pos0, int slot);
 
   std::string name_;
   int64_t hidden_, heads_, dk_;
   bool causal_;
-  bool kv_fp16_ = false;
   Linear qkv_proj_;
   Linear out_proj_;
   std::unordered_map<int, Saved> cache_;
-  std::unordered_map<int, KvSlot> kv_;
-  /// Paged mode (set_kv_store): non-owning store handle, this layer's lane.
+  /// Decode KV (set_kv_store): non-owning store handle, this layer's lane.
   runtime::KvStore* store_ = nullptr;
   int lane_ = -1;
-  /// Pre-reservation hint from set_kv_capacity (tokens per stream).
-  int64_t kv_capacity_ = 0;
 };
 
 }  // namespace hanayo::model

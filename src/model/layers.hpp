@@ -19,7 +19,7 @@
 
 namespace hanayo::runtime {
 class KvStore;  // paged KV storage (runtime/kv_store.hpp); layers hold a
-                // non-owning pointer wired by the serving runtime
+                // non-owning pointer wired by whoever decodes
 }  // namespace hanayo::runtime
 
 namespace hanayo::model {
@@ -53,38 +53,22 @@ class Layer {
   /// Inference forward: computes exactly the same function as `forward` but
   /// saves nothing for backward. `pos0` is the absolute sequence position of
   /// the first row of `x` (tokens [pos0, pos0 + t) of the sequence); `slot`
-  /// identifies the decode stream, so stateful layers (attention's KV cache)
-  /// can keep one incremental context per in-flight sequence. Stateless
-  /// layers ignore both. Numerics contract: for causal models, the *last
-  /// row* of the result is bit-identical whether the prefix was processed in
-  /// one call (pos0 = 0) or token-by-token through the same slot — the
-  /// ascending-k kernels make KV-cache decode match full-prefix recompute.
+  /// identifies the decode stream, so stateful layers (attention) can keep
+  /// one incremental context per in-flight sequence in the attached KV
+  /// store (set_kv_store). Stateless layers ignore both. Numerics contract:
+  /// for causal models, the *last row* of the result is bit-identical
+  /// whether the prefix was processed in one call (pos0 = 0) or
+  /// token-by-token through the same slot — the ascending-k kernels make
+  /// KV-cache decode match full-prefix recompute.
   virtual Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) = 0;
 
-  /// Frees any per-stream inference state held for `slot` (KV caches).
-  virtual void drop_slot(int slot) { (void)slot; }
-
-  /// Bytes of per-stream inference state (KV caches) currently held.
-  virtual int64_t slot_bytes() const { return 0; }
-
-  /// Store per-stream inference state (KV caches) in half precision:
-  /// halves slot_bytes at the cost of fp16 rounding on the cached panels.
-  /// Stateless layers ignore it. Must be set before any slot is populated.
-  virtual void set_kv_fp16(bool on) { (void)on; }
-
-  /// Attach a paged KV store: stateful layers register a lane and keep
-  /// their per-stream K/V rows in pooled pages (prefix sharing, COW)
-  /// instead of contiguous per-slot slabs. nullptr restores the contiguous
-  /// path. Stateless layers ignore it. Must be set before any slot is
-  /// populated.
+  /// Attach the KV store (runtime/kv_store.hpp) that holds every decode
+  /// stream's K/V rows: stateful layers register one lane and append to /
+  /// read from its pooled pages; their forward_infer throws
+  /// std::logic_error without a store. The store owns each stream's
+  /// lifetime (open_slot / drop_slot). Stateless layers ignore it. Set
+  /// once, before the first decode call.
   virtual void set_kv_store(runtime::KvStore* store) { (void)store; }
-
-  /// Worst-case tokens per decode stream. Stateful layers pre-reserve
-  /// their contiguous per-stream KV storage to this capacity so
-  /// steady-state decode performs zero heap allocations; the
-  /// serving runtime wires the model's max sequence length through here.
-  /// Stateless layers ignore it. 0 = grow geometrically on demand.
-  virtual void set_kv_capacity(int64_t tokens) { (void)tokens; }
 
   /// Appends pointers to this layer's parameters (stable across calls).
   virtual void collect_params(std::vector<Param*>& out) = 0;

@@ -447,26 +447,8 @@ Tensor StageModule::decode(const Tensor& x, int64_t pos0, int slot) {
   return h;
 }
 
-void StageModule::drop_slot(int slot) {
-  for (auto& l : layers_) l->drop_slot(slot);
-}
-
-int64_t StageModule::slot_bytes() const {
-  int64_t b = 0;
-  for (const auto& l : layers_) b += l->slot_bytes();
-  return b;
-}
-
-void StageModule::set_kv_fp16(bool on) {
-  for (auto& l : layers_) l->set_kv_fp16(on);
-}
-
 void StageModule::set_kv_store(runtime::KvStore* store) {
   for (auto& l : layers_) l->set_kv_store(store);
-}
-
-void StageModule::set_kv_capacity(int64_t tokens) {
-  for (auto& l : layers_) l->set_kv_capacity(tokens);
 }
 
 std::vector<Param*> StageModule::params() {

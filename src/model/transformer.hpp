@@ -96,13 +96,7 @@ class Block : public Layer {
   Tensor forward(const Tensor& x, int mb) override;
   Tensor backward(const Tensor& dy, int mb) override;
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void drop_slot(int slot) override { attn_.drop_slot(slot); }
-  int64_t slot_bytes() const override { return attn_.slot_bytes(); }
-  void set_kv_fp16(bool on) override { attn_.set_kv_fp16(on); }
   void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
-  void set_kv_capacity(int64_t tokens) override {
-    attn_.set_kv_capacity(tokens);
-  }
   void collect_params(std::vector<Param*>& out) override;
   void drop_cache(int mb) override;
   std::string name() const override { return name_; }
@@ -126,13 +120,7 @@ class AttnResidual : public Layer {
   Tensor forward(const Tensor& x, int mb) override;
   Tensor backward(const Tensor& dy, int mb) override;
   Tensor forward_infer(const Tensor& x, int64_t pos0, int slot) override;
-  void drop_slot(int slot) override { attn_.drop_slot(slot); }
-  int64_t slot_bytes() const override { return attn_.slot_bytes(); }
-  void set_kv_fp16(bool on) override { attn_.set_kv_fp16(on); }
   void set_kv_store(runtime::KvStore* s) override { attn_.set_kv_store(s); }
-  void set_kv_capacity(int64_t tokens) override {
-    attn_.set_kv_capacity(tokens);
-  }
   void collect_params(std::vector<Param*>& out) override;
   void drop_cache(int mb) override;
   std::string name() const override { return name_; }
@@ -184,33 +172,16 @@ class StageModule {
   Tensor backward(const Tensor& dy, int mb);
 
   /// Incremental-decode forward through this stage's layers: nothing is
-  /// saved for backward, attention layers extend their per-`slot` KV cache,
-  /// and positional state is read at absolute offset `pos0`. For causal
-  /// models the last row of the result is bit-identical to a full-prefix
-  /// recompute (see Layer::forward_infer).
+  /// saved for backward, attention layers extend stream `slot`'s KV rows in
+  /// the attached store, and positional state is read at absolute offset
+  /// `pos0`. For causal models the last row of the result is bit-identical
+  /// to a full-prefix recompute (see Layer::forward_infer).
   Tensor decode(const Tensor& x, int64_t pos0, int slot);
 
-  /// Frees the KV caches of one decode stream (called when a served
-  /// sequence completes and its slot is recycled).
-  void drop_slot(int slot);
-
-  /// Bytes of KV-cache state currently held across all decode streams —
-  /// the serving analogue of `cached_bytes`.
-  int64_t slot_bytes() const;
-
-  /// Half-precision KV-cache storage for every attention layer in this
-  /// stage (InferConfig::kv_fp16). Set before the first decode call.
-  void set_kv_fp16(bool on);
-
-  /// Attaches a paged KV store to every attention layer in this stage
-  /// (InferConfig::paged_kv): each layer registers one lane. Set before
-  /// the first decode call, in deterministic worker construction order.
+  /// Attaches the KV store to every attention layer in this stage: each
+  /// registers one lane. Required before the first decode call; set in
+  /// deterministic worker construction order.
   void set_kv_store(runtime::KvStore* store);
-
-  /// Pre-reserves every attention layer's per-stream KV storage for
-  /// `tokens` rows (the model's max sequence length), so steady-state
-  /// decode never grows KV mid-pass.
-  void set_kv_capacity(int64_t tokens);
 
   /// Activation recomputation (gradient checkpointing, Chen et al. 2016 —
   /// one of the orthogonal memory techniques the paper's related work

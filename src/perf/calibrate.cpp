@@ -7,6 +7,7 @@
 
 #include "comm/communicator.hpp"
 #include "model/loss.hpp"
+#include "runtime/infer.hpp"
 #include "tensor/rng.hpp"
 
 namespace hanayo::perf {
@@ -113,6 +114,16 @@ ServingCalibration measure_serving_rates(const model::ModelConfig& cfg,
                         : std::max<int64_t>(1, cfg.seq / 2);
   model::StageModule module(descs, 0, static_cast<int>(descs.size()),
                             /*seed=*/1234, cfg.init_std);
+  // One private worst-case stream at the runtime's default page size —
+  // the KV path a serving replica decodes through.
+  runtime::InferConfig one;
+  one.model = cfg;
+  runtime::KvStore store(runtime::private_stream_store(one));
+  module.set_kv_store(&store);
+  const auto reopen = [&] {
+    store.drop_slot(0);
+    (void)store.open_slot(0, {}, cfg.seq, nullptr);
+  };
   tensor::Tensor prompt({1, plen});
   for (int64_t i = 0; i < plen; ++i) {
     prompt[i] = static_cast<float>(i % cfg.vocab);
@@ -130,11 +141,12 @@ ServingCalibration measure_serving_rates(const model::ModelConfig& cfg,
   };
 
   // Prefill rate: repeated full-prompt forward_infer passes on one slot.
+  reopen();
   (void)module.decode(prompt, 0, 0);  // warm-up (first touch allocates)
   {
     const auto t0 = Clock::now();
     for (int r = 0; r < repeats; ++r) {
-      module.drop_slot(0);
+      reopen();
       (void)module.decode(prompt, 0, 0);
     }
     const double per_pass = seconds_since(t0) / repeats;
@@ -152,7 +164,7 @@ ServingCalibration measure_serving_rates(const model::ModelConfig& cfg,
     int64_t pos = plen;
     for (int r = -2; r < repeats; ++r) {  // two warm iterations
       if (pos >= cfg.seq) {
-        module.drop_slot(0);
+        reopen();
         (void)module.decode(prompt, 0, 0);
         pos = plen;
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/memory.hpp"
 
@@ -126,6 +127,9 @@ ServePrediction Engine::serving_impl(const ServingPoint& pt,
                                      SimPolicy policy,
                                      bool quantiles) const {
   ServePrediction out;
+  if (pt.kv_page_tokens < 1) {
+    throw std::invalid_argument("evaluate_serving: kv_page_tokens must be >= 1");
+  }
 
   // Feasibility is a result, not an exception — the point of a dry run (and
   // of a planner sweep) is to find out before building an engine.
@@ -190,9 +194,8 @@ ServePrediction Engine::serving_impl(const ServingPoint& pt,
   const std::vector<double> weight_dev =
       sim::device_weight_bytes(sched.placement, prefill_costs, 1.0);
   const int64_t final_ctx = plen + steps - 1;
-  // kv_page_tokens > 0 rounds every stream's resident rows up to whole
-  // pages (the allocator holds the tail page either way); 0 leaves the
-  // contiguous-slot accounting bit-exact.
+  // Every stream's resident rows round up to whole pages (the allocator
+  // holds the tail page either way).
   const sim::PipelineCosts full_kv =
       sim::infer_costs(model_, S, 1, final_ctx, final_ctx, cluster_, kv_elem,
                        pt.kv_page_tokens);
@@ -206,24 +209,22 @@ ServePrediction Engine::serving_impl(const ServingPoint& pt,
     }
     kv_worst += dev_kv[static_cast<size_t>(d)];
   }
-  if (pt.kv_page_tokens > 0) {
-    // A paged replica can never hold more than its pool: when max_batch
-    // worst-case streams would exceed pool_bytes, the admission control
-    // caps residency there — price each device its proportional share.
-    const int64_t pgt = pt.kv_page_tokens;
-    const int lanes = std::max(1, runtime::kv_lanes(model_));
-    const int64_t pool_pages =
-        pt.kv_pool_pages > 0
-            ? pt.kv_pool_pages
-            : static_cast<int64_t>(pt.max_batch) *
-                  ((model_.seq + pgt - 1) / pgt) * lanes;
-    const double page_bytes = 2.0 * static_cast<double>(pgt) *
-                              static_cast<double>(model_.hidden) * kv_elem;
-    const double pool_bytes = static_cast<double>(pool_pages) * page_bytes;
-    if (kv_worst > pool_bytes && kv_worst > 0.0) {
-      const double f = pool_bytes / kv_worst;
-      for (double& x : dev_kv) x *= f;
-    }
+  // A replica can never hold more than its pool: when max_batch
+  // worst-case streams would exceed pool_bytes, the admission control
+  // caps residency there — price each device its proportional share.
+  const int64_t pgt = pt.kv_page_tokens;
+  const int lanes = std::max(1, runtime::kv_lanes(model_));
+  const int64_t pool_pages =
+      pt.kv_pool_pages > 0
+          ? pt.kv_pool_pages
+          : static_cast<int64_t>(pt.max_batch) *
+                ((model_.seq + pgt - 1) / pgt) * lanes;
+  const double page_bytes = 2.0 * static_cast<double>(pgt) *
+                            static_cast<double>(model_.hidden) * kv_elem;
+  const double pool_bytes = static_cast<double>(pool_pages) * page_bytes;
+  if (kv_worst > pool_bytes && kv_worst > 0.0) {
+    const double f = pool_bytes / kv_worst;
+    for (double& x : dev_kv) x *= f;
   }
   double peak = 0.0, wmax = 0.0, kv_total = 0.0;
   for (int d = 0; d < pt.P; ++d) {
@@ -250,18 +251,9 @@ ServePrediction Engine::serving_impl(const ServingPoint& pt,
   per.generated_tokens = static_cast<int64_t>(pt.max_batch) * steps;
   per.prefill_passes = 1;
   per.decode_passes = steps - 1;
-  // KV rows resident at the end: per device, the per-pass act bytes times
-  // the final context length of every stream.
-  if (pt.kv_page_tokens > 0) {
-    // Paged: the page-rounded, pool-capped residency computed above.
-    per.peak_kv_bytes = static_cast<int64_t>(kv_total);
-  } else {
-    double kv = 0.0;
-    for (double x : prefill_costs.act_bytes) kv += x;
-    per.peak_kv_bytes = static_cast<int64_t>(
-        kv / static_cast<double>(plen) *
-        static_cast<double>(plen + steps - 1) * pt.max_batch);
-  }
+  // KV rows resident at the end: the page-rounded, pool-capped residency
+  // computed above.
+  per.peak_kv_bytes = static_cast<int64_t>(kv_total);
   if (policy == SimPolicy::Never) return out;
   if (policy == SimPolicy::UnlessOom && out.oom) return out;
 

@@ -53,16 +53,16 @@ struct ServingPoint {
   int max_new_tokens = 16;
   /// Stop tokens shorten the modelled continuation (geometric expectation).
   std::vector<int64_t> stop_tokens;
-  /// Half-precision KV-cache storage: halves the KV bytes the cost model
-  /// accounts (matching InferConfig::kv_fp16's halved slot_bytes()).
+  /// Half-precision KV pages: halves the KV bytes the cost model accounts
+  /// (matching InferConfig::kv_fp16's halved slot_bytes()).
   bool kv_fp16 = false;
-  /// Paged KV accounting (InferConfig::paged_kv): > 0 rounds each stream's
-  /// resident KV rows up to whole pages of this many tokens, and caps the
-  /// per-device KV budget at the pool's share when kv_pool_pages bounds it.
-  /// 0 keeps the exact contiguous-slot model.
-  int kv_page_tokens = 0;
-  /// Per-replica pool size in pages; 0 derives the contiguous-equivalent
-  /// capacity (max_batch worst-case streams), the serving runtime's rule.
+  /// KV page size (InferConfig::kv_page_tokens, the runtime's 16 by
+  /// default): each stream's resident KV rows round up to whole pages of
+  /// this many tokens, and the per-device KV budget caps at the pool's
+  /// share when kv_pool_pages bounds it. Must be >= 1.
+  int kv_page_tokens = 16;
+  /// Per-replica pool size in pages; 0 derives max_batch worst-case
+  /// full-context streams.
   int64_t kv_pool_pages = 0;
   /// Relative stage costs for scheduling-order decisions (overridden by the
   /// engine's calibration when present, exactly like effective_sched()).

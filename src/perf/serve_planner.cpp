@@ -1,6 +1,7 @@
 #include "perf/serve_planner.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "perf/format.hpp"
 
@@ -115,6 +116,9 @@ std::vector<ServeCandidate> plan_serving(const sim::Cluster& cluster,
                                          const ServeTarget& raw) {
   ServeTarget target = raw;
   if (target.max_new_tokens <= 0) target.max_new_tokens = 16;
+  if (target.kv_page_tokens < 1) {
+    throw std::invalid_argument("plan_serving: kv_page_tokens must be >= 1");
+  }
   const Engine eng(model, cluster, target.calibration,
                    target.serving_calibration);
   std::vector<ServeCandidate> out;

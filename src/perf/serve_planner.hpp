@@ -38,12 +38,14 @@ struct ServeTarget {
   /// Score candidates with half-precision KV-cache storage
   /// (InferConfig::kv_fp16): halves the KV bytes the memory pruning sees.
   bool kv_fp16 = false;
-  /// Score candidates with paged KV storage (InferConfig::paged_kv):
-  /// > 0 rounds per-stream KV up to pages of this many tokens and caps
-  /// residency at the pool (see ServingPoint::kv_page_tokens), so memory
-  /// pruning admits the paged configurations the runtime actually fits.
-  int kv_page_tokens = 0;
-  int64_t kv_pool_pages = 0;  ///< pool size; 0 = contiguous-equivalent rule
+  /// KV page size the candidates are scored with: per-stream KV rounds up
+  /// to pages of this many tokens and residency caps at the pool (see
+  /// ServingPoint::kv_page_tokens), so memory pruning admits what the
+  /// runtime actually fits. Must be >= 1; plan_serving rejects 0. Left at
+  /// the default, auto_plan back-fills the builder's page size.
+  int kv_page_tokens = 16;
+  /// Pool size in pages; 0 derives max_batch worst-case streams.
+  int64_t kv_pool_pages = 0;
   /// SLA bounds: 99th-percentile per-token latency ceiling and generated
   /// tokens/s floor (cluster-wide, dp-scaled). 0 disables a bound.
   double max_p99_token_latency_s = 0.0;

@@ -79,18 +79,32 @@ int64_t derived_pool_pages(const InferConfig& cfg) {
 }
 
 int derived_queue_cap(const InferConfig& cfg) {
-  int streams = std::max(1, cfg.max_batch);
-  if (cfg.paged_kv) {
-    // Pool-derived stream count: how many worst-case full-context
-    // sequences the page pool can hold at once (never above max_batch —
-    // slots still bound concurrency). With the default pool sizing this
-    // equals max_batch, so paging never shrinks the derived cap.
-    const int64_t per_seq = worst_case_stream_pages(cfg);
-    const int64_t fit = derived_pool_pages(cfg) / std::max<int64_t>(1, per_seq);
-    streams = static_cast<int>(
-        std::min<int64_t>(std::max<int64_t>(fit, 1), streams));
-  }
+  // Pool-derived stream count: how many worst-case full-context sequences
+  // the page pool can hold at once (never above max_batch — slots still
+  // bound concurrency). With the default pool sizing this is max_batch.
+  const int64_t per_seq = worst_case_stream_pages(cfg);
+  const int64_t fit = derived_pool_pages(cfg) / std::max<int64_t>(1, per_seq);
+  const int streams = static_cast<int>(std::min<int64_t>(
+      std::max<int64_t>(fit, 1), std::max(1, cfg.max_batch)));
   return std::max(1, cfg.dp) * streams;
+}
+
+KvStoreConfig kv_store_config(const InferConfig& cfg) {
+  KvStoreConfig kc;
+  kc.page_tokens = cfg.kv_page_tokens;
+  kc.pool_pages = derived_pool_pages(cfg);
+  kc.row_elems = cfg.model.hidden;
+  kc.max_slots = cfg.max_batch;
+  kc.fp16 = cfg.kv_fp16;
+  kc.prefix_cache = cfg.prefix_cache;
+  return kc;
+}
+
+KvStoreConfig private_stream_store(InferConfig cfg) {
+  cfg.max_batch = 1;
+  cfg.prefix_cache = false;
+  cfg.kv_pool_pages = 0;
+  return kv_store_config(cfg);
 }
 
 void Sampling::validate() const {
@@ -308,6 +322,18 @@ InferRequest make_infer_request(Tensor prompt, int max_new_tokens,
 
 namespace {
 
+bool contains(const std::vector<int64_t>& ids, int64_t id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+/// Removes `id` from `ids` if present; true when it was.
+bool erase_id(std::vector<int64_t>& ids, int64_t id) {
+  const auto it = std::find(ids.begin(), ids.end(), id);
+  if (it == ids.end()) return false;
+  ids.erase(it);
+  return true;
+}
+
 /// Terminal Completion for a request aborted without (or after losing) a KV
 /// slot: reject at enqueue, cancel/timeout while queued.
 Completion unserved_completion(const InferRequest& r, StopReason why) {
@@ -342,6 +368,7 @@ std::vector<InferRequest> RequestQueue::push(InferRequest r) {
   q_.push_back(std::move(r));
   if (bounded && policy_ == QueuePolicy::ShedOldest) {
     while (static_cast<int>(q_.size()) > cap_) {
+      erase_id(cancelled_, q_.front().id);
       refused.push_back(std::move(q_.front()));
       q_.pop_front();
     }
@@ -351,6 +378,7 @@ std::vector<InferRequest> RequestQueue::push(InferRequest r) {
 
 void RequestQueue::push_front(InferRequest r) {
   std::lock_guard lk(mu_);
+  erase_id(popped_, r.id);
   q_.push_front(std::move(r));
 }
 
@@ -359,6 +387,7 @@ bool RequestQueue::pop(InferRequest& out) {
   if (q_.empty()) return false;
   out = std::move(q_.front());
   q_.pop_front();
+  popped_.push_back(out.id);
   return true;
 }
 
@@ -378,18 +407,22 @@ std::vector<InferRequest> RequestQueue::take_expired(double now_s) {
 
 void RequestQueue::cancel(int64_t id) {
   std::lock_guard lk(mu_);
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) ==
-      cancelled_.end()) {
-    cancelled_.push_back(id);
-  }
+  const bool live =
+      contains(popped_, id) ||
+      std::any_of(q_.begin(), q_.end(),
+                  [id](const InferRequest& r) { return r.id == id; });
+  if (live && !contains(cancelled_, id)) cancelled_.push_back(id);
 }
 
 bool RequestQueue::consume_cancelled(int64_t id) {
   std::lock_guard lk(mu_);
-  const auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-  if (it == cancelled_.end()) return false;
-  cancelled_.erase(it);
-  return true;
+  return erase_id(cancelled_, id);
+}
+
+void RequestQueue::retire(int64_t id) {
+  std::lock_guard lk(mu_);
+  erase_id(popped_, id);
+  erase_id(cancelled_, id);
 }
 
 bool RequestQueue::any_cancelled() const {
@@ -462,12 +495,6 @@ class InferWorker {
           ranges[static_cast<size_t>(pl.stage_of(rank, c))];
       chunks_.emplace_back(descs, r.begin, r.end, cfg.seed,
                            cfg.model.init_std);
-      if (cfg.kv_fp16) chunks_.back().set_kv_fp16(true);
-      // Pre-reserve every stream's KV storage to the model's positional
-      // capacity: decode never grows KV mid-pass (the growth would be a
-      // per-pass heap allocation — and under an active arena, a lifetime
-      // bug).
-      chunks_.back().set_kv_capacity(cfg.model.seq);
     }
     // Stable Posted entries: `slot` addresses are handed to irecv, so the
     // vector is sized once (outstanding <= prefetch_depth, +1 for the
@@ -495,11 +522,6 @@ class InferWorker {
                   static_cast<size_t>(pos + 1)];
     };
     next_tokens_.assign(plan.size(), -1);
-    for (const PassEntry& e : plan) {
-      if (e.fresh) {
-        for (model::StageModule& c : chunks_) c.drop_slot(e.slot);
-      }
-    }
 
     // Receive prefetching, as in Worker::run_iteration (paper §4.2).
     for (Posted& p : posted_) {
@@ -611,21 +633,11 @@ class InferWorker {
 
   const std::vector<int64_t>& next_tokens() const { return next_tokens_; }
 
-  /// Attaches the replica's paged store to every attention layer this
+  /// Attaches the replica's KV store to every attention layer this
   /// worker owns (each registers one lane). Called once at construction
   /// time, before any decode stream exists.
   void set_kv_store(KvStore* store) {
     for (model::StageModule& c : chunks_) c.set_kv_store(store);
-  }
-
-  void drop_slot(int slot) {
-    for (model::StageModule& c : chunks_) c.drop_slot(slot);
-  }
-
-  int64_t kv_bytes() const {
-    int64_t b = 0;
-    for (const model::StageModule& c : chunks_) b += c.slot_bytes();
-    return b;
   }
 
  private:
@@ -675,8 +687,7 @@ InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
   }
   if (shared == nullptr) {
     // Standalone replica: admission control applies to the owned queue too
-    // (one replica's worth of the derived slot-turnover capacity — or the
-    // pool-derived stream count when paging is on).
+    // (one replica's worth of the pool-derived stream count).
     InferConfig solo = cfg_;
     solo.dp = 1;
     own_queue_.configure(cfg_.queue_policy, cfg_.max_queue > 0
@@ -695,17 +706,8 @@ InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
     workers_.push_back(std::make_unique<InferWorker>(
         cfg_, placement_, d, comm::Communicator(world_.get(), d)));
   }
-  if (cfg_.paged_kv) {
-    KvStoreConfig kc;
-    kc.page_tokens = cfg_.kv_page_tokens;
-    kc.pool_pages = derived_pool_pages(cfg_);
-    kc.row_elems = cfg_.model.hidden;
-    kc.max_slots = cfg_.max_batch;
-    kc.fp16 = cfg_.kv_fp16;
-    kc.prefix_cache = cfg_.prefix_cache;
-    store_ = std::make_unique<KvStore>(kc);
-    for (auto& w : workers_) w->set_kv_store(store_.get());
-  }
+  store_ = std::make_unique<KvStore>(kv_store_config(cfg_));
+  for (auto& w : workers_) w->set_kv_store(store_.get());
   for (int s = cfg_.max_batch - 1; s >= 0; --s) free_slots_.push_back(s);
   active_.reserve(static_cast<size_t>(cfg_.max_batch));
   still_.reserve(static_cast<size_t>(cfg_.max_batch));
@@ -770,19 +772,14 @@ const schedule::Schedule& InferencePipeline::schedule_for(int batch) {
 }
 
 int64_t InferencePipeline::slot_bytes() const {
-  if (store_ != nullptr) return store_->slot_ref_bytes();
-  int64_t b = 0;
-  for (const auto& w : workers_) b += w->kv_bytes();
-  return b;
+  return store_->slot_ref_bytes();
 }
 
 int64_t InferencePipeline::pages_in_use() const {
-  return store_ != nullptr ? store_->pages_in_use() : 0;
+  return store_->pages_in_use();
 }
 
-void InferencePipeline::clear_prefix_cache() {
-  if (store_ != nullptr) store_->clear_prefix_cache();
-}
+void InferencePipeline::clear_prefix_cache() { store_->clear_prefix_cache(); }
 
 int64_t InferencePipeline::enqueue(tensor::Tensor prompt, int max_new_tokens,
                                    TokenCallback on_token, double deadline_s) {
@@ -803,6 +800,7 @@ int64_t InferencePipeline::enqueue(tensor::Tensor prompt, int max_new_tokens,
 
 void InferencePipeline::finish_unserved(const InferRequest& r,
                                         StopReason why) {
+  queue_->retire(r.id);
   done_.push_back(unserved_completion(r, why));
   if (why == StopReason::Cancelled) {
     ++stats_.cancelled;
@@ -836,41 +834,39 @@ void InferencePipeline::admit() {
     }
     ActiveSeq seq;
     seq.slot = free_slots_.back();
-    if (store_ != nullptr) {
-      // Paged admission: price the request in pages it can actually need
-      // (worst-case growth minus cached prefix pages), not a worst-case
-      // contiguous slot. open_slot reserves that budget atomically, so an
-      // admitted stream can never hit pool exhaustion mid-decode.
-      const int64_t t = r.prompt.size(1);
-      seq.prompt_ids.resize(static_cast<size_t>(t));
-      const float* p = r.prompt.data();
-      for (int64_t j = 0; j < t; ++j) {
-        seq.prompt_ids[static_cast<size_t>(j)] = static_cast<int64_t>(p[j]);
-      }
-      const int64_t final_len = t + r.max_new_tokens - 1;
-      int64_t shared = 0;
-      bool ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
-      if (!ok) {
-        // Preempt the reclaimable part of the prefix cache and retry: the
-        // first attempt maximises sharing, this one maximises free pages.
-        (void)store_->evict_unreferenced();
-        ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
-      }
-      if (!ok) {
-        if (active_.empty()) {
-          // Even a fully drained, evicted pool cannot reserve this
-          // request's worst case — admitting it would wedge the drain, so
-          // refuse it outright (backpressure, like a full bounded queue).
-          finish_unserved(r, StopReason::Rejected);
-          continue;
-        }
-        // Pool dry under load: the request keeps its place in line and
-        // retries once a finishing stream releases its reservation.
-        queue_->push_front(std::move(r));
-        break;
-      }
-      seq.shared_tokens = shared;
+    // Price the request in pages it can actually need (worst-case growth
+    // minus cached prefix pages). open_slot reserves that budget
+    // atomically, so an admitted stream can never hit pool exhaustion
+    // mid-decode.
+    const int64_t t = r.prompt.size(1);
+    seq.prompt_ids.resize(static_cast<size_t>(t));
+    const float* p = r.prompt.data();
+    for (int64_t j = 0; j < t; ++j) {
+      seq.prompt_ids[static_cast<size_t>(j)] = static_cast<int64_t>(p[j]);
     }
+    const int64_t final_len = t + r.max_new_tokens - 1;
+    int64_t shared = 0;
+    bool ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
+    if (!ok) {
+      // Preempt the reclaimable part of the prefix cache and retry: the
+      // first attempt maximises sharing, this one maximises free pages.
+      (void)store_->evict_unreferenced();
+      ok = store_->open_slot(seq.slot, seq.prompt_ids, final_len, &shared);
+    }
+    if (!ok) {
+      if (active_.empty()) {
+        // Even a fully drained, evicted pool cannot reserve this
+        // request's worst case — admitting it would wedge the drain, so
+        // refuse it outright (backpressure, like a full bounded queue).
+        finish_unserved(r, StopReason::Rejected);
+        continue;
+      }
+      // Pool dry under load: the request keeps its place in line and
+      // retries once a finishing stream releases its reservation.
+      queue_->push_front(std::move(r));
+      break;
+    }
+    seq.shared_tokens = shared;
     ++stats_.requests;
     stats_.prompt_tokens += r.prompt.size(1);
     seq.id = r.id;
@@ -902,8 +898,8 @@ void InferencePipeline::finish_active(ActiveSeq& seq, StopReason why,
   c.first_token_s = seq.first_token_s;
   c.finish_s = now_s;
   done_.push_back(std::move(c));
-  for (auto& w : workers_) w->drop_slot(seq.slot);
-  if (store_ != nullptr) store_->drop_slot(seq.slot);
+  queue_->retire(seq.id);
+  store_->drop_slot(seq.slot);
   free_slots_.push_back(seq.slot);
   if (why == StopReason::Cancelled) {
     ++stats_.cancelled;
@@ -970,12 +966,11 @@ void InferencePipeline::run_pass() {
     // and replica assignment cannot shift it.
     if (cfg_.sampling.stochastic()) e.u = seq.rng.uniform();
     if (!seq.prefilled) {
-      if (store_ != nullptr && seq.shared_tokens > 0) {
+      if (seq.shared_tokens > 0) {
         // Prefix hit: the first shared_tokens rows are already in cached
         // pages (bitwise what this prefill would have computed), so the
         // prefill micro-batch carries only the unshared suffix.
         e.pos0 = seq.shared_tokens;
-        e.fresh = false;
         const int64_t rest = seq.prompt_tokens - seq.shared_tokens;
         Tensor tail({1, rest});
         const float* src = seq.input_prompt.data() + seq.shared_tokens;
@@ -983,9 +978,6 @@ void InferencePipeline::run_pass() {
         e.input = std::move(tail);
       } else {
         e.pos0 = 0;
-        // Paged slots are reset by open_slot/drop_slot; fresh would only
-        // clear the (empty) contiguous caches.
-        e.fresh = store_ == nullptr;
         e.input = seq.input_prompt;
       }
       any_prefill = true;
@@ -1040,10 +1032,7 @@ void InferencePipeline::run_pass() {
   // Sample the KV footprint before completed streams are dropped: the pass
   // that finishes a sequence is exactly when its cache is fullest.
   stats_.peak_kv_bytes = std::max(stats_.peak_kv_bytes, slot_bytes());
-  if (store_ != nullptr) {
-    stats_.kv_pages_peak =
-        std::max(stats_.kv_pages_peak, store_->pages_in_use());
-  }
+  stats_.kv_pages_peak = std::max(stats_.kv_pages_peak, store_->pages_in_use());
 
   const double now = serve_clock_s();
   const std::vector<int64_t>& toks =
@@ -1055,14 +1044,12 @@ void InferencePipeline::run_pass() {
     if (!seq.prefilled) {
       seq.prefilled = true;
       seq.len = seq.prompt_tokens;
-      if (store_ != nullptr) {
-        // Offer the completed prompt to the prefix tree so later requests
-        // with a common prefix can share its pages (before any potential
-        // drop below, so a one-token completion still seeds the cache).
-        store_->publish(seq.slot, seq.prompt_ids);
-        seq.prompt_ids.clear();
-        seq.prompt_ids.shrink_to_fit();
-      }
+      // Offer the completed prompt to the prefix tree so later requests
+      // with a common prefix can share its pages (before any potential
+      // drop below, so a one-token completion still seeds the cache).
+      store_->publish(seq.slot, seq.prompt_ids);
+      seq.prompt_ids.clear();
+      seq.prompt_ids.shrink_to_fit();
       seq.input_prompt = Tensor();
     } else {
       seq.len += 1;
@@ -1100,8 +1087,8 @@ void InferencePipeline::run_pass() {
             static_cast<double>(c.tokens.size() - 1));
       }
       done_.push_back(std::move(c));
-      for (auto& w : workers_) w->drop_slot(seq.slot);
-      if (store_ != nullptr) store_->drop_slot(seq.slot);
+      queue_->retire(seq.id);
+      store_->drop_slot(seq.slot);
       free_slots_.push_back(seq.slot);
     } else {
       still_.push_back(std::move(seq));
@@ -1140,11 +1127,9 @@ std::vector<Completion> InferencePipeline::drain() {
 
 ServeStats InferencePipeline::stats() const {
   ServeStats out = stats_;
-  if (store_ != nullptr) {
-    out.kv_pages_in_use = store_->pages_in_use();
-    out.prefix_hits = store_->prefix_hits();
-    out.prefix_hit_tokens = store_->prefix_hit_tokens();
-  }
+  out.kv_pages_in_use = store_->pages_in_use();
+  out.prefix_hits = store_->prefix_hits();
+  out.prefix_hit_tokens = store_->prefix_hit_tokens();
   std::lock_guard lk(enqueue_mu_);
   out.submitted += enqueue_stats_.submitted;
   out.rejected += enqueue_stats_.rejected;

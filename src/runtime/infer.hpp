@@ -34,6 +34,7 @@
 
 #include "core/sync.hpp"
 #include "model/transformer.hpp"
+#include "runtime/kv_store.hpp"
 #include "runtime/worker.hpp"
 #include "schedule/algorithms.hpp"
 #include "tensor/arena.hpp"
@@ -214,23 +215,21 @@ struct InferConfig {
   /// Emitting any of these ids ends the sequence early (the id itself is
   /// recorded); its KV slot frees at the next pass boundary.
   std::vector<int64_t> stop_tokens;
-  /// Store cached K/V panels as fp16 words (converted back for the
-  /// attention kernels): halves every slot's resident bytes; decode logits
-  /// move within fp16 rounding of the fp32-cache run.
+  /// KV storage (runtime/kv_store.hpp): per-stream K/V rows live in
+  /// fixed-size pooled pages, admission is priced in pages a request can
+  /// actually need, and requests sharing a prompt prefix share immutable
+  /// pages (skipping the shared prefill).
+  /// Store the pages as fp16 words (dequantized page by page for the
+  /// attention kernels): halves every page's bytes; decode logits move
+  /// within fp16 rounding of the fp32-page run.
   bool kv_fp16 = false;
-  /// Paged KV storage (runtime/kv_store.hpp): per-stream K/V rows live in
-  /// fixed-size pooled pages instead of contiguous worst-case slots, so
-  /// admission is priced in pages actually needed and requests sharing a
-  /// prompt prefix share immutable pages (skipping the shared prefill).
-  /// Decode stays bitwise identical to the contiguous path.
-  bool paged_kv = false;
   int kv_page_tokens = 16;  ///< token rows per page (per attention layer)
-  /// Total pages in the per-replica pool. 0 derives
-  /// max_batch * ceil((seq)/page_tokens) * lanes — contiguous-equivalent
-  /// capacity, so paging never admits less than the slot design did.
+  /// Total pages in the per-replica pool. 0 derives max_batch worst-case
+  /// full-context streams: ceil(seq / page_tokens) pages per lane, plus a
+  /// copy-on-write spare per lane when the prefix cache is on.
   int64_t kv_pool_pages = 0;
-  /// Cross-request prefix caching (radix tree + copy-on-write). Off keeps
-  /// paging but makes every stream's pages private.
+  /// Cross-request prefix caching (radix tree + copy-on-write). Off makes
+  /// every stream's pages private.
   bool prefix_cache = true;
   uint64_t seed = 1;
   int prefetch_depth = 2;
@@ -240,10 +239,11 @@ struct InferConfig {
   /// Admission control: with a bounded policy, at most `max_queue` requests
   /// wait (excess handled per the policy and stamped Rejected).
   QueuePolicy queue_policy = QueuePolicy::Unbounded;
-  /// Queue capacity for the bounded policies; 0 derives `dp * max_batch` —
-  /// the queue never holds more work than one full turnover of the
-  /// cluster's KV slots (the `slot_bytes` budget), so admitted-but-waiting
-  /// work is bounded by the same memory model the planner prices.
+  /// Queue capacity for the bounded policies; 0 derives dp times the
+  /// streams the page pool holds at once (`dp * max_batch` with the
+  /// default pool) — the queue never holds more work than one full
+  /// turnover of the cluster's KV pools, so admitted-but-waiting work is
+  /// bounded by the same memory model the planner prices.
   int max_queue = 0;
   FaultInjection fault;  ///< deterministic fault injection (tests/benches)
   /// Pass-arena reserve per pipeline worker, MiB. Every pass-lifetime
@@ -256,18 +256,26 @@ struct InferConfig {
   int arena_reserve_mb = 0;
 };
 
-/// The derived bounded-queue capacity (see InferConfig::max_queue). With
-/// paging on, the per-replica stream count derives from pool capacity
-/// (worst-case full-context streams the pool can hold, capped by
-/// max_batch) instead of assuming max_batch worst-case slots.
+/// The derived bounded-queue capacity (see InferConfig::max_queue): the
+/// per-replica stream count derives from pool capacity (worst-case
+/// full-context streams the pool can hold, capped by max_batch).
 int derived_queue_cap(const InferConfig& cfg);
 
-/// Attention lanes the model registers with a paged store: one per
+/// Attention lanes the model registers with a KV store: one per
 /// Block/AttnHalf layer desc.
 int kv_lanes(const model::ModelConfig& model);
 
 /// The derived per-replica pool size (see InferConfig::kv_pool_pages).
 int64_t derived_pool_pages(const InferConfig& cfg);
+
+/// The KV store one replica of `cfg` decodes through: max_batch slots,
+/// the derived pool, and cfg's page size, fp16 and prefix-cache options.
+KvStoreConfig kv_store_config(const InferConfig& cfg);
+
+/// The store of one private worst-case stream of `cfg`'s model: a single
+/// slot, the prefix cache off, the pool derived for it, and cfg's page size
+/// and fp16 option — what the sequential engines decode through.
+KvStoreConfig private_stream_store(InferConfig cfg);
 
 /// Cumulative serving counters (see api::ServeReport for the user-facing
 /// vocabulary these feed).
@@ -289,8 +297,8 @@ struct ServeStats {
   double decode_s = 0.0;
   int64_t peak_kv_bytes = 0;  ///< max over passes, summed across devices
 
-  /// Paged-KV accounting (zero when paging is off). `kv_pages_in_use` is a
-  /// gauge sampled at stats() time; the peak is tracked per pass. Prefix
+  /// KV page accounting. `kv_pages_in_use` is a gauge sampled at stats()
+  /// time; the peak is tracked per pass. Prefix
   /// hits count admissions that reused cached prompt pages; hit tokens are
   /// exactly the prefill tokens those admissions skipped.
   int64_t kv_pages_in_use = 0;
@@ -396,11 +404,12 @@ class RequestQueue {
   /// Unbounded never refuses.
   std::vector<InferRequest> push(InferRequest r);
   /// Returns a popped request to the queue head, preserving FIFO order —
-  /// used by paged admission when the KV pool cannot reserve pages for the
+  /// used by admission when the KV pool cannot reserve pages for the
   /// oldest request yet (it stays first in line; no policy check, the
   /// request was already admitted past it once).
   void push_front(InferRequest r);
-  /// Pops the oldest request into `out`; false when empty.
+  /// Pops the oldest request into `out`; false when empty. The popped id
+  /// stays cancellable until the replica calls retire(id).
   bool pop(InferRequest& out);
   /// Removes and returns every queued request whose deadline has passed —
   /// called by replicas each admission sweep, so queued requests time out
@@ -408,11 +417,14 @@ class RequestQueue {
   std::vector<InferRequest> take_expired(double now_s);
   /// Marks `id` for cancellation (thread-safe, any time). The mark is
   /// honoured at the serving replica's next pass boundary — or at pop time
-  /// if the request is still queued. Unknown/finished ids are a no-op
-  /// (the mark sits in the registry until consumed or forgotten by it).
+  /// if the request is still queued. Only queued or popped-and-unretired
+  /// ids are marked: an unknown or finished id leaves no mark behind.
   void cancel(int64_t id);
   /// True (and consumes the mark) if `id` was cancelled.
   bool consume_cancelled(int64_t id);
+  /// A popped request reached its terminal state: it is no longer
+  /// cancellable, and any mark on it is dropped.
+  void retire(int64_t id);
   /// True when any cancel mark is pending — the replicas' cheap pass-
   /// boundary guard before the per-sequence consume_cancelled sweep.
   bool any_cancelled() const;
@@ -423,6 +435,7 @@ class RequestQueue {
   mutable sync::Mutex<sync::Rank::ServeQueue> mu_;
   std::deque<InferRequest> q_;
   std::vector<int64_t> cancelled_;  ///< pending cancel marks (few at a time)
+  std::vector<int64_t> popped_;     ///< popped, not yet retired ids
   QueuePolicy policy_ = QueuePolicy::Unbounded;
   int cap_ = 0;
 };
@@ -431,13 +444,11 @@ class RequestQueue {
 struct PassEntry {
   int slot = 0;        ///< KV-cache stream
   int64_t pos0 = 0;    ///< absolute position of input's first token
-  bool fresh = false;  ///< first pass of a sequence: reset the slot first
   float u = 0.0f;      ///< this step's uniform draw (stochastic sampling)
   tensor::Tensor input;  ///< [1, t] token ids (prompt, or one decoded token)
 };
 
 class InferWorker;
-class KvStore;
 
 class InferencePipeline {
  public:
@@ -479,17 +490,16 @@ class InferencePipeline {
   ServeStats stats() const;
   const InferConfig& config() const { return cfg_; }
 
-  /// KV-cache bytes currently resident across this replica's workers —
-  /// 0 whenever no sequence is mid-flight (the no-slot-leak invariant).
-  /// Paged mode reports the bytes of pages referenced by live slots (the
-  /// prefix cache's retained pages are excluded — they are reclaimable).
+  /// Bytes of the KV pages live slots reference — 0 whenever no sequence
+  /// is mid-flight (the no-slot-leak invariant). The prefix cache's
+  /// retained pages are excluded: they are reclaimable.
   int64_t slot_bytes() const;
 
   /// Pages currently allocated from this replica's pool (slots + prefix
-  /// cache); 0 when paging is off. After clear_prefix_cache() on a drained
-  /// replica this returns 0 — the paged no-leak invariant.
+  /// cache). After clear_prefix_cache() on a drained replica this returns
+  /// 0 — the no-page-leak invariant.
   int64_t pages_in_use() const;
-  /// Drops every unreferenced prefix-cache page (no-op when paging is off).
+  /// Drops every unreferenced prefix-cache page.
   void clear_prefix_cache();
 
   /// The forward-only schedule compiled for `batch` concurrent sequences
@@ -506,7 +516,7 @@ class InferencePipeline {
     bool prefilled = false;
     int64_t last_token = -1;
     tensor::Tensor input_prompt;  ///< pending prompt (dropped after prefill)
-    /// Paged mode: the prompt as token ids (kept until the prefix tree has
+    /// The prompt as token ids (kept until the prefix tree has
     /// been offered the prompt via KvStore::publish), and how many leading
     /// tokens admission found already cached (prefill starts at that
     /// position).
@@ -545,7 +555,7 @@ class InferencePipeline {
   std::map<int, schedule::Schedule> sched_cache_;
   RequestQueue own_queue_;
   RequestQueue* queue_ = nullptr;  ///< own_queue_, or the server's shared one
-  std::unique_ptr<KvStore> store_;  ///< paged KV pool (null = contiguous)
+  std::unique_ptr<KvStore> store_;  ///< this replica's KV page pool
   std::vector<ActiveSeq> active_;
   std::vector<int> free_slots_;
   std::vector<Completion> done_;
@@ -626,7 +636,7 @@ class InferenceServer {
   /// Resident KV bytes summed over replicas — 0 when fully drained.
   int64_t slot_bytes() const;
 
-  /// Allocated pages summed over replicas (0 when paging is off); see
+  /// Allocated pages summed over replicas; see
   /// InferencePipeline::pages_in_use.
   int64_t pages_in_use() const;
   /// Drops unreferenced prefix-cache pages on every replica.

@@ -1,14 +1,16 @@
 #pragma once
 // Paged KV-cache store: pooled fixed-size pages + cross-request prefix
-// sharing.
+// sharing. It is the only KV storage: every decode stream — a serving
+// replica's, the sequential Reference engine's, the serving calibration's
+// — appends its K/V rows here and attention reads them in place
+// (model/attention.cpp).
 //
-// The seed design gives every decode stream one contiguous worst-case KV
-// region (model/attention.cpp, KvSlot), so max_batch is gated on peak
-// full-context memory and identical prompt heads are re-prefilled per
-// request. This subsystem replaces the slab with fixed-size pages drawn
-// from a pooled free-list allocator (the rt_pool idiom: O(1) alloc/free,
-// zero steady-state heap traffic) and layers a radix-tree prefix index on
-// top so requests with a common prompt prefix share immutable pages:
+// Pages come from a pooled free-list allocator (the rt_pool idiom: O(1)
+// alloc/free, zero steady-state heap traffic), so admission is priced in
+// pages a stream can actually need instead of one worst-case region per
+// slot, and a radix-tree prefix index on top lets requests with a common
+// prompt prefix share immutable pages. With the prefix cache off every
+// stream's pages are private (the reference engines run that way):
 //
 //   * A page holds `page_tokens` tokens of K and V for ONE attention layer
 //     ("lane"), fp32 or fp16 per `kv_fp16` — one uniform page size per
@@ -61,12 +63,12 @@
 namespace hanayo::runtime {
 
 /// Construction-time shape of a KvStore. All fields are required;
-/// `pool_pages` must already be resolved (the serving runtime derives a
-/// default from max_batch x ceil(seq / page_tokens) x lanes).
+/// `pool_pages` must already be resolved (runtime::kv_store_config derives
+/// a default from an InferConfig: max_batch worst-case streams).
 struct KvStoreConfig {
   int page_tokens = 16;    ///< token rows per page (per lane)
   int64_t pool_pages = 0;  ///< total pages in the pool, shared by all lanes
-  int64_t row_elems = 0;   ///< floats per K (and per V) row: batch * hidden
+  int64_t row_elems = 0;   ///< floats per K (and per V) row: hidden
   int max_slots = 0;       ///< decode streams (page-table sets per lane)
   bool fp16 = false;       ///< half-precision page payloads (kv_fp16)
   bool prefix_cache = true;  ///< publish/lookup the radix prefix index

@@ -51,8 +51,9 @@ PipelineCosts compute_costs(const model::ModelConfig& cfg, int stages,
 /// and boundaries carry fp32 activations of the new tokens only.
 /// `kv_page_tokens` > 0 prices a paged cache (runtime/kv_store.hpp): each
 /// sequence's K/V rows round up to whole pages, so partially filled tail
-/// pages are charged like the allocator actually holds them; 0 keeps the
-/// exact contiguous-slot accounting. `fwd_scale` multiplies the forward
+/// pages are charged like the allocator actually holds them; 0 charges the
+/// exact rows (the pass-cost callers, which price time, not residency).
+/// `fwd_scale` multiplies the forward
 /// compute seconds: the cluster's rate is calibrated from a *training*
 /// forward, and a measured serving calibration
 /// (perf::ServingCalibration's prefill/decode rate scales) corrects the

@@ -256,10 +256,10 @@ __attribute__((noinline)) void transpose_block(const float* src, int64_t ld,
 // same code on a zero-padded vector. An element's result therefore
 // depends only on its own input — never on its index, on the parallel_for
 // chunk it lands in or on the thread count — which keeps every bitwise
-// identity (Threads ≡ Reference, paged ≡ contiguous, incremental ≡
-// full-prefix, 1 ≡ N threads) true by construction. No libm call, no
-// -ffast-math. Results are written through an out-reference for the same
-// -Wpsabi reason HANAYO_SPLAT is a macro.
+// identity (Threads ≡ Reference, prefix-shared ≡ private pages,
+// incremental ≡ full-prefix, 1 ≡ N threads) true by construction. No libm
+// call, no -ffast-math. Results are written through an out-reference for
+// the same -Wpsabi reason HANAYO_SPLAT is a macro.
 typedef int32_t vi __attribute__((vector_size(VLEN * sizeof(int32_t)),
                                   aligned(alignof(int32_t))));
 

@@ -303,7 +303,6 @@ TEST(InferenceSession, DocCommentPagedKvCompilesAndRuns) {
                    .pipeline(2)
                    .max_batch(1)
                    .max_new_tokens(4)
-                   .paged_kv()
                    .kv_page_tokens(8)
                    .build();
   // Two chat turns over the same 8-token system head, different tails.
@@ -339,8 +338,9 @@ TEST(InferenceSession, DocCommentPagedKvCompilesAndRuns) {
 
 TEST(InferenceSession, DeadlineAndRejectionSemanticsMatchAcrossBackends) {
   // Reference is the serving ground truth for outcomes too: pre-expired
-  // deadlines time out, cancels cancel, and the books balance — exactly as
-  // on Threads. (Backpressure is a live-queue property: Reference admits
+  // deadlines time out, cancels cancel — queued, or mid-decode from the
+  // request's own token callback — and the books balance, exactly as on
+  // Threads. (Backpressure is a live-queue property: Reference admits
   // everything, so the bounded-queue case is Threads-only and covered by
   // tests/runtime/test_serve_faults.cpp.)
   for (BackendKind kind : {BackendKind::Threads, BackendKind::Reference}) {
@@ -349,10 +349,14 @@ TEST(InferenceSession, DeadlineAndRejectionSemanticsMatchAcrossBackends) {
     const auto id_expired = s.enqueue(random_prompt(rng, 4), 0, {}, 1e-6);
     const auto id_cancel = s.enqueue(random_prompt(rng, 5));
     const auto id_ok = s.enqueue(random_prompt(rng, 6));
+    const auto id_mid = s.enqueue(random_prompt(rng, 3), 0,
+                                  [&s](const TokenEvent& e) {
+                                    if (e.index == 1) s.cancel(e.request_id);
+                                  });
     s.cancel(id_cancel);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     const auto done = s.run();
-    ASSERT_EQ(done.size(), 3u) << backend_name(kind);
+    ASSERT_EQ(done.size(), 4u) << backend_name(kind);
     EXPECT_EQ(done[0].id, id_expired);
     EXPECT_EQ(done[0].stop_reason, StopReason::DeadlineExceeded);
     EXPECT_TRUE(done[0].tokens.empty());
@@ -360,10 +364,13 @@ TEST(InferenceSession, DeadlineAndRejectionSemanticsMatchAcrossBackends) {
     EXPECT_EQ(done[1].stop_reason, StopReason::Cancelled);
     EXPECT_EQ(done[2].id, id_ok);
     EXPECT_TRUE(done[2].served());
+    EXPECT_EQ(done[3].id, id_mid);
+    EXPECT_EQ(done[3].stop_reason, StopReason::Cancelled);
+    EXPECT_EQ(done[3].tokens.size(), 2u) << backend_name(kind);
     const ServeReport rep = s.report();
-    EXPECT_EQ(rep.submitted, 3) << backend_name(kind);
+    EXPECT_EQ(rep.submitted, 4) << backend_name(kind);
     EXPECT_EQ(rep.completed, 1);
-    EXPECT_EQ(rep.cancelled, 1);
+    EXPECT_EQ(rep.cancelled, 2);
     EXPECT_EQ(rep.timed_out, 1);
     EXPECT_EQ(rep.ttft_samples_s.size(), 1u);
   }

@@ -70,16 +70,21 @@ InferConfig tiny_serving_config() {
 
 // Shared body: measures the marginal allocations of one steady-state
 // decode pass on `cfg` (differential methodology, see file comment) and
-// checks them against the budget.
-void expect_decode_pass_within_budget(const InferConfig& cfg) {
+// checks them against the budget. `stale_cancel` cancels the warm-up's
+// already-finished request before measuring: a cancel that can no longer
+// apply must leave no mark behind (a stale mark would push every later
+// pass boundary onto the allocating abort sweep).
+void expect_decode_pass_within_budget(const InferConfig& cfg,
+                                      bool stale_cancel = false) {
   InferencePipeline pipe(cfg);
   Tensor prompt({1, 8});
   for (int64_t i = 0; i < prompt.numel(); ++i) {
     prompt[i] = static_cast<float>(1 + i);
   }
 
+  int64_t last_id = -1;
   const auto drain_with = [&](int max_new) {
-    pipe.enqueue(prompt, max_new);
+    last_id = pipe.enqueue(prompt, max_new);
     const AllocStats before = tensor::alloc_stats();
     const auto done = pipe.drain();
     EXPECT_EQ(done.size(), 1u);
@@ -94,6 +99,7 @@ void expect_decode_pass_within_budget(const InferConfig& cfg) {
   // the zero assertions below vacuous).
   const AllocStats warm = drain_with(4);
   ASSERT_GT(warm.allocs, 0) << "counting allocator hook inactive?";
+  if (stale_cancel) pipe.cancel(last_id);
 
   constexpr int kShort = 4;
   constexpr int kLong = 36;
@@ -139,16 +145,25 @@ TEST(AllocDecode, SteadyStateDecodePassStaysWithinBudget) {
   expect_decode_pass_within_budget(tiny_serving_config());
 }
 
-TEST(AllocDecode, PagedSteadyStateDecodePassStaysWithinBudget) {
-  // Zero budget with the paged KV store on the hot path too: appends pop
-  // the pre-reserved free list into page tables pre-sized at the slot's
-  // first open, and attention reads the pages in place. The longer drain
-  // crosses two more page boundaries than the shorter one, so a page table
-  // growing on demand would show here.
+TEST(AllocDecode, PrivateFp16PagesSteadyStateDecodePassStaysWithinBudget) {
+  // Zero budget on the other KV store options too: private pages (prefix
+  // cache off) in half precision, 5-token pages. Appends pop the
+  // pre-reserved free list into page tables pre-sized at the slot's first
+  // open, and attention reads (and dequantizes) pages in place. The longer
+  // drain crosses six more page boundaries than the shorter one, so a page
+  // table growing on demand would show here.
   InferConfig cfg = tiny_serving_config();
-  cfg.paged_kv = true;
-  cfg.kv_page_tokens = 16;
+  cfg.prefix_cache = false;
+  cfg.kv_fp16 = true;
+  cfg.kv_page_tokens = 5;
   expect_decode_pass_within_budget(cfg);
+}
+
+TEST(AllocDecode, StaleCancelKeepsDecodeAllocationFree) {
+  // cancel() of a finished id is documented as a harmless no-op; it must
+  // also leave steady-state decode at zero allocations.
+  expect_decode_pass_within_budget(tiny_serving_config(),
+                                   /*stale_cancel=*/true);
 }
 
 TEST(AllocTrain, SteadyStateTrainStepStaysWithinBudget) {

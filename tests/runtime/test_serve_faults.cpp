@@ -297,3 +297,28 @@ TEST(ServeFaults, EnvSeedEnablesInjection) {
   f.seed = 99;
   EXPECT_TRUE(f.enabled());
 }
+
+TEST(ServeFaults, CancelMarksOnlyLiveRequests) {
+  // A cancel mark exists only while the request can still be cancelled:
+  // unknown and finished ids leave none (a stale mark would keep every
+  // later pass boundary on the abort sweep's slow path, and repeated
+  // stale cancels would grow the registry without bound).
+  runtime::RequestQueue q;
+  q.cancel(7);  // never enqueued
+  EXPECT_FALSE(q.any_cancelled());
+
+  runtime::InferRequest r;
+  r.id = 3;
+  (void)q.push(std::move(r));
+  q.cancel(3);  // queued
+  EXPECT_TRUE(q.any_cancelled());
+  runtime::InferRequest popped;
+  ASSERT_TRUE(q.pop(popped));
+  EXPECT_TRUE(q.consume_cancelled(3));
+  q.cancel(3);  // popped, not yet finished: still cancellable
+  EXPECT_TRUE(q.any_cancelled());
+  q.retire(3);  // the replica finished it; the late mark goes with it
+  EXPECT_FALSE(q.any_cancelled());
+  q.cancel(3);  // finished
+  EXPECT_FALSE(q.any_cancelled());
+}

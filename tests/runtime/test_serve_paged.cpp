@@ -2,9 +2,9 @@
 // and decode (runtime/infer.cpp). The contract stacked on top of the
 // model-layer guarantees (tests/model/test_decode.cpp):
 //
-//   * token identity — a paged server decodes exactly the tokens the
-//     contiguous-slot server decodes, fp32 and fp16, whatever the batch
-//     composition, prefix sharing or replica assignment;
+//   * token identity — a server with the prefix cache on decodes exactly
+//     the tokens a private-pages server decodes, fp32 and fp16, whatever
+//     the batch composition, prefix sharing or replica assignment;
 //   * page-priced admission — streams admit on available pages, not
 //     worst-case slots: a pool sized for one stream serializes instead of
 //     deadlocking, a pool too small for any stream rejects cleanly under
@@ -43,7 +43,7 @@ namespace {
 const model::ModelConfig kTiny = model::ModelConfig::tiny(
     /*layers=*/6, /*hidden=*/32, /*heads=*/2, /*vocab=*/67, /*seq=*/24);
 
-InferConfig serve_config(int dp, bool paged, bool fp16 = false) {
+InferConfig serve_config(int dp, bool prefix_cache, bool fp16 = false) {
   InferConfig cfg;
   cfg.model = kTiny;
   cfg.sched.algo = schedule::Algo::Hanayo;
@@ -56,7 +56,7 @@ InferConfig serve_config(int dp, bool paged, bool fp16 = false) {
   cfg.stop_tokens = {3, 5};
   cfg.seed = 17;
   cfg.kv_fp16 = fp16;
-  cfg.paged_kv = paged;
+  cfg.prefix_cache = prefix_cache;
   cfg.kv_page_tokens = 8;
   return cfg;
 }
@@ -83,10 +83,8 @@ std::vector<Completion> serve_all(const InferConfig& cfg,
   EXPECT_EQ(server.slot_bytes(), 0);
   const ServeStats st = server.stats();
   EXPECT_EQ(st.terminal(), st.submitted);
-  if (cfg.paged_kv) {
-    server.clear_prefix_cache();
-    EXPECT_EQ(server.pages_in_use(), 0);
-  }
+  server.clear_prefix_cache();
+  EXPECT_EQ(server.pages_in_use(), 0);
   return done;
 }
 
@@ -102,15 +100,15 @@ void expect_same_tokens(const std::vector<Completion>& a,
 
 }  // namespace
 
-TEST(ServePaged, TokensMatchContiguousSlotsBitwise) {
-  // The whole-stack identity check: paged and contiguous servers decode the
-  // same tokens for every request, fp32 and fp16, with dp replicas racing
-  // over the shared queue and the prefix cache live.
+TEST(ServePaged, TokensMatchPrivatePagesBitwise) {
+  // The whole-stack identity check: servers with the prefix cache on and
+  // off decode the same tokens for every request, fp32 and fp16, with dp
+  // replicas racing over the shared queue.
   const auto prompts = make_prompts(std::max(4, hanayo_test::scaled(10)), 3);
   for (bool fp16 : {false, true}) {
-    const auto plain = serve_all(serve_config(2, /*paged=*/false, fp16),
+    const auto plain = serve_all(serve_config(2, /*prefix_cache=*/false, fp16),
                                  prompts);
-    const auto paged = serve_all(serve_config(2, /*paged=*/true, fp16),
+    const auto paged = serve_all(serve_config(2, /*prefix_cache=*/true, fp16),
                                  prompts);
     for (const Completion& c : paged) EXPECT_TRUE(c.served());
     expect_same_tokens(plain, paged);
@@ -136,11 +134,11 @@ TEST(ServePaged, SharedPrefixSkipsPrefillAndMatchesBitwise) {
   prompts.push_back(chat_prompt({13, 4, 22, 10}));
   prompts.push_back(chat_prompt({1, 8, 30, 12}));
 
-  InferConfig plain_cfg = serve_config(1, /*paged=*/false);
+  InferConfig plain_cfg = serve_config(1, /*prefix_cache=*/false);
   plain_cfg.max_batch = 1;
   const auto plain = serve_all(plain_cfg, prompts);
 
-  InferConfig cfg = serve_config(1, /*paged=*/true);
+  InferConfig cfg = serve_config(1, /*prefix_cache=*/true);
   cfg.max_batch = 1;  // serializes the two streams: publish precedes reuse
   // Roomy pool: a default (one-stream) pool would preempt the cached head
   // to fit the second stream's worst case — here sharing is under test,
@@ -170,9 +168,9 @@ TEST(ServePaged, CancelStormLeaksNoPages) {
   // probe — slot pages all release and the cleared pool reads zero.
   const int n = std::max(6, hanayo_test::scaled(12));
   const auto prompts = make_prompts(n, 23);
-  const auto clean = serve_all(serve_config(2, /*paged=*/true), prompts);
+  const auto clean = serve_all(serve_config(2, /*prefix_cache=*/true), prompts);
 
-  InferenceServer server(serve_config(2, /*paged=*/true));
+  InferenceServer server(serve_config(2, /*prefix_cache=*/true));
   std::vector<int64_t> ids;
   for (const Tensor& p : prompts) ids.push_back(server.enqueue(p));
   std::thread storm([&] {
@@ -214,7 +212,7 @@ TEST(ServePaged, TinyPoolSerializesStreamsInsteadOfDeadlocking) {
   // them as pages free, so the drain completes with every request served —
   // and the tokens are unchanged (batch composition never shifts sampling
   // streams).
-  InferConfig roomy = serve_config(1, /*paged=*/true);
+  InferConfig roomy = serve_config(1, /*prefix_cache=*/true);
   InferConfig tiny_pool = roomy;
   tiny_pool.kv_pool_pages = 20;
 
@@ -234,7 +232,7 @@ TEST(ServePaged, PoolTooSmallForAnyStreamRejectsCleanly) {
   // No stream can ever be covered: admission evicts, retries, finds the
   // queue head still unservable with nothing active, and sheds it as
   // Rejected — bounded-pool backpressure instead of a livelock.
-  InferConfig cfg = serve_config(1, /*paged=*/true);
+  InferConfig cfg = serve_config(1, /*prefix_cache=*/true);
   cfg.kv_pool_pages = 6;
   InferenceServer server(cfg);
   const auto prompts = make_prompts(4, 53);
@@ -253,16 +251,16 @@ TEST(ServePaged, PoolTooSmallForAnyStreamRejectsCleanly) {
 }
 
 TEST(ServePaged, QueueCapDerivesFromPoolCapacity) {
-  // The admission/memory satellite: the derived queue cap prices paged
-  // capacity, not worst-case contiguous slots.
-  InferConfig cfg = serve_config(2, /*paged=*/false);
+  // The admission/memory satellite: the derived queue cap prices the page
+  // pool's capacity.
+  InferConfig cfg = serve_config(2, /*prefix_cache=*/false);
   EXPECT_EQ(runtime::kv_lanes(cfg.model), 6);
   EXPECT_EQ(runtime::derived_queue_cap(cfg), 2 * 3);  // dp * max_batch
 
   // Default pool: max_batch worst-case streams, each priced at
   // (ceil(24/8) KV pages + 1 COW spare) per lane — so the derived cap
-  // is unchanged by turning paging on.
-  cfg.paged_kv = true;
+  // is dp * max_batch with the prefix cache on too.
+  cfg.prefix_cache = true;
   EXPECT_EQ(runtime::derived_pool_pages(cfg), 3ll * (3 + 1) * 6);
   EXPECT_EQ(runtime::derived_queue_cap(cfg), 2 * 3);
 
