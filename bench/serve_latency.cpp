@@ -157,7 +157,7 @@ double median(std::vector<double> v) {
 
 // Marginal heap allocations of kExtraDecodePasses steady-state decode
 // passes — the same differential methodology as
-// tests/runtime/test_alloc_decode.cpp (two drains on a warmed pipeline
+// tests/runtime/test_alloc_decode.cpp (two drains on a warmed dp = 1 server
 // differing only in continuation length, so per-request costs cancel). The
 // raw difference is reported, not a per-pass quotient, which integer
 // division would round a few stray allocations down to zero. The arena
@@ -174,15 +174,15 @@ int64_t steady_decode_extra_allocs() {
   cfg.max_batch = 1;
   cfg.max_new_tokens = 64;
   cfg.seed = 5;
-  runtime::InferencePipeline pipe(cfg);
+  runtime::InferenceServer server(cfg);
   Tensor prompt({1, 8});
   for (int64_t i = 0; i < prompt.numel(); ++i) {
     prompt[i] = static_cast<float>(1 + i);
   }
   const auto drain_with = [&](int max_new) {
-    pipe.enqueue(prompt, max_new);
+    server.enqueue(prompt, max_new);
     const tensor::AllocStats before = tensor::alloc_stats();
-    (void)pipe.drain();
+    (void)server.drain();
     return tensor::alloc_stats() - before;
   };
   (void)drain_with(4);  // warm-up: arenas, pools, KV slot

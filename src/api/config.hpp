@@ -186,12 +186,4 @@ struct InferenceConfig : EngineConfig {
 sim::Cluster planning_cluster(int devices,
                               const std::optional<perf::Calibration>& cal);
 
-/// Throws std::invalid_argument when a token id in `ids` (ids are stored
-/// as floats and truncated, as the embedding reads them) lies outside
-/// [0, vocab); the message starts with `what` and names the flat position
-/// and the id. The session entry points run it before any worker does, so
-/// a bad id fails the call instead of throwing inside one pipeline stage.
-void check_token_ids(const tensor::Tensor& ids, int64_t vocab,
-                     const std::string& what);
-
 }  // namespace hanayo::api

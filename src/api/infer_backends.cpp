@@ -1,37 +1,40 @@
-// The three concrete serving engines behind api::make_infer_backend:
-// data-parallel pipelined worker replicas (runtime::InferenceServer), the
-// sequential full-prefix-recompute reference, and the forward-only event
+// The serving engines behind api::make_infer_backend: the live ones —
+// Threads and Reference — are one runtime::InferenceServer request
+// lifecycle with different per-pass executors (the pipelined worker gang,
+// or a sequential full-prefix recompute); Sim is the forward-only event
 // simulation.
 
-#include <algorithm>
-#include <chrono>
-#include <deque>
 #include <stdexcept>
-#include <string>
 
 #include "api/inference.hpp"
-#include "core/sync.hpp"
 #include "runtime/infer.hpp"
-#include "tensor/rng.hpp"
 
 namespace hanayo::api {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Pipelined forward-only wave schedules with KV-cache decode and
+/// Threads: pipelined forward-only wave schedules with KV-cache decode and
 /// continuous batching; dp > 1 runs that many pipeline replicas off one
-/// shared request queue — wraps runtime::InferenceServer.
-class ThreadInferBackend final : public InferBackend {
+/// shared request queue.
+///
+/// Reference: the sequential ground truth — the same queue, admission,
+/// aborts and stats, but each pass recomputes the one active stream's full
+/// prefix on an unpartitioned module (the server forces dp = 1, max_batch
+/// = 1, private pages and an unbounded queue; replicas hold identical
+/// weights, so the reference for any assignment is the same). Tokens are
+/// bit-identical to Threads under every sampling policy: logits match
+/// bitwise, and both select through sample_last_row with the same
+/// per-request (seed, id) RNG stream.
+class ServerInferBackend final : public InferBackend {
  public:
-  explicit ThreadInferBackend(const InferenceConfig& cfg)
-      : cfg_(cfg), server_(cfg.infer_config()) {}
+  explicit ServerInferBackend(const InferenceConfig& cfg)
+      : kind_(cfg.backend),
+        server_(cfg.infer_config(),
+                cfg.backend == BackendKind::Reference
+                    ? runtime::ExecutorKind::Recompute
+                    : runtime::ExecutorKind::PipelineGang) {}
 
-  BackendKind kind() const override { return BackendKind::Threads; }
+  BackendKind kind() const override { return kind_; }
 
   int64_t enqueue(tensor::Tensor prompt, int max_new_tokens,
                   TokenCallback on_token, double deadline_s) override {
@@ -45,12 +48,12 @@ class ThreadInferBackend final : public InferBackend {
 
   const schedule::Schedule* schedule() const override {
     // The full-batch program — representative of the steady serving state.
-    return &const_cast<runtime::InferenceServer&>(server_).schedule_for(
-        cfg_.max_batch);
+    auto& server = const_cast<runtime::InferenceServer&>(server_);
+    return server.schedule_for(server.config().max_batch);
   }
 
   void finalize(ServeReport& rep) const override {
-    rep.backend = BackendKind::Threads;
+    rep.backend = kind_;
     rep.dp = server_.dp();
     rep.replicas = server_.replica_stats();
     // server_.stats() (not a bare merge): the submitted/rejected counters
@@ -59,220 +62,8 @@ class ThreadInferBackend final : public InferBackend {
   }
 
  private:
-  InferenceConfig cfg_;
+  BackendKind kind_;
   runtime::InferenceServer server_;
-};
-
-/// Sequential ground truth: one full-prefix recompute per generated token,
-/// no KV reuse across steps, no pipeline, no replication (dp is ignored —
-/// replicas hold identical weights, so the reference for any assignment is
-/// the same). Tokens are bit-identical to the Threads backend under every
-/// sampling policy: logits match bitwise, and both engines select through
-/// sample_last_row with the same per-request (seed, id) RNG stream.
-class ReferenceInferBackend final : public InferBackend {
- public:
-  explicit ReferenceInferBackend(const InferenceConfig& cfg)
-      : cfg_(cfg),
-        module_(cfg.model.layer_descs(), 0,
-                static_cast<int>(cfg.model.layer_descs().size()), cfg.seed,
-                cfg.model.init_std),
-        store_(runtime::private_stream_store(cfg.infer_config())) {
-    // Same fp16 page quantization as the pipeline workers, so the
-    // token-identity guarantee extends to kv_fp16 runs.
-    module_.set_kv_store(&store_);
-  }
-
-  BackendKind kind() const override { return BackendKind::Reference; }
-
-  int64_t enqueue(tensor::Tensor prompt, int max_new_tokens,
-                  TokenCallback on_token, double deadline_s) override {
-    // Same admission rules as the pipeline, by construction (shared helper).
-    // The reference queue itself stays unbounded — bounded-queue
-    // backpressure is a property of the live server's shared queue, not of
-    // the sequential ground truth.
-    runtime::InferRequest r = runtime::make_infer_request(
-        std::move(prompt), max_new_tokens, cfg_.max_new_tokens,
-        cfg_.model.seq, next_id_++, deadline_s, cfg_.deadline_s);
-    r.on_token = std::move(on_token);
-    const int64_t id = r.id;
-    std::lock_guard lk(mu_);
-    queue_.push_back(std::move(r));
-    stats_.submitted += 1;
-    return id;
-  }
-
-  /// Marks only a queued request or the one decoding now (thread-safe; the
-  /// call may also come from the request's on_token callback). Any other
-  /// id leaves no mark.
-  void cancel(int64_t id) override {
-    std::lock_guard lk(mu_);
-    const bool live =
-        id == decoding_ ||
-        std::any_of(queue_.begin(), queue_.end(),
-                    [id](const runtime::InferRequest& r) { return r.id == id; });
-    if (live && std::find(cancelled_.begin(), cancelled_.end(), id) ==
-                    cancelled_.end()) {
-      cancelled_.push_back(id);
-    }
-  }
-
-  std::vector<Completion> drain() override {
-    std::vector<Completion> out;
-    runtime::InferRequest r;
-    while (pop(r)) {
-      // The sequential analogue of the pipeline's admission checks: a
-      // cancelled or already-expired request terminates without decoding.
-      if (consume_cancelled(r.id)) {
-        retire(r.id);
-        out.push_back(unserved(r, runtime::StopReason::Cancelled));
-        stats_.cancelled += 1;
-        continue;
-      }
-      if (r.deadline_s > 0.0 && runtime::serve_clock_s() > r.deadline_s) {
-        retire(r.id);
-        out.push_back(unserved(r, runtime::StopReason::DeadlineExceeded));
-        stats_.timed_out += 1;
-        continue;
-      }
-      stats_.requests += 1;
-      stats_.prompt_tokens += r.prompt.size(1);
-      // The request's own sampling stream — the same split the pipeline
-      // replicas use, which is what makes stochastic decodes comparable.
-      tensor::Rng rng(
-          tensor::Rng::split(cfg_.seed, static_cast<uint64_t>(r.id)));
-      std::vector<int64_t> seq;
-      for (int64_t i = 0; i < r.prompt.size(1); ++i) {
-        seq.push_back(static_cast<int64_t>(r.prompt[i]));
-      }
-      Completion c;
-      c.id = r.id;
-      c.prompt_tokens = r.prompt.size(1);
-      c.enqueue_s = r.enqueue_s;
-      c.admit_s = runtime::serve_clock_s();
-      for (int step = 0; step < r.max_new_tokens; ++step) {
-        // Step boundary == the sequential engine's pass boundary: cancel
-        // marks and deadline misses abort here with the partial tokens.
-        if (consume_cancelled(r.id)) {
-          c.stop_reason = runtime::StopReason::Cancelled;
-          stats_.cancelled += 1;
-          break;
-        }
-        if (r.deadline_s > 0.0 && runtime::serve_clock_s() > r.deadline_s) {
-          c.stop_reason = runtime::StopReason::DeadlineExceeded;
-          stats_.timed_out += 1;
-          break;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        const float u = cfg_.sampling.stochastic() ? rng.uniform() : 0.0f;
-        tensor::Tensor x({1, static_cast<int64_t>(seq.size())});
-        for (size_t i = 0; i < seq.size(); ++i) {
-          x[static_cast<int64_t>(i)] = static_cast<float>(seq[i]);
-        }
-        // Full-prefix recompute: a fresh KV stream every step.
-        store_.drop_slot(0);
-        if (!store_.open_slot(0, {}, x.size(1), nullptr)) {
-          throw std::logic_error("reference: KV pool below one stream");
-        }
-        tensor::Tensor y = module_.decode(x, 0, 0);
-        stats_.peak_kv_bytes =
-            std::max(stats_.peak_kv_bytes, store_.slot_ref_bytes());
-        const int64_t best = runtime::sample_last_row(y, cfg_.sampling, u);
-        seq.push_back(best);
-        if (c.tokens.empty()) c.first_token_s = runtime::serve_clock_s();
-        c.tokens.push_back(best);
-        stats_.generated_tokens += 1;
-        const double wall = seconds_since(t0);
-        if (step == 0) {
-          stats_.prefill_passes += 1;
-          stats_.prefill_s += wall;
-        } else {
-          stats_.decode_passes += 1;
-          stats_.decode_s += wall;
-        }
-        const bool hit_stop = runtime::is_stop_token(cfg_.stop_tokens, best);
-        // Streaming: one event per selected token, same boundary semantics
-        // as the pipeline's pass boundary.
-        if (r.on_token) {
-          r.on_token(runtime::TokenEvent{
-              r.id, best, step, hit_stop || step + 1 == r.max_new_tokens});
-        }
-        if (hit_stop) {
-          c.stop_reason = runtime::StopReason::StopToken;
-          break;
-        }
-      }
-      store_.drop_slot(0);
-      retire(r.id);
-      c.finish_s = runtime::serve_clock_s();
-      if (c.served()) {
-        stats_.completed += 1;
-        stats_.ttft_samples_s.push_back(c.ttft_s());
-        const double per_tok = c.per_token_s();
-        if (per_tok >= 0.0) stats_.per_token_samples_s.push_back(per_tok);
-      }
-      out.push_back(std::move(c));
-    }
-    return out;
-  }
-
-  void finalize(ServeReport& rep) const override {
-    rep.backend = BackendKind::Reference;
-    rep.dp = 1;  // sequential: there is nothing to replicate
-    rep.set_totals(stats_);
-  }
-
- private:
-  /// Pops the oldest request into `r`, which stays cancellable until
-  /// retire(r.id); false when the queue is empty.
-  bool pop(runtime::InferRequest& r) {
-    std::lock_guard lk(mu_);
-    if (queue_.empty()) return false;
-    r = std::move(queue_.front());
-    queue_.pop_front();
-    decoding_ = r.id;
-    return true;
-  }
-
-  bool consume_cancelled(int64_t id) {
-    std::lock_guard lk(mu_);
-    const auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-    if (it == cancelled_.end()) return false;
-    cancelled_.erase(it);
-    return true;
-  }
-
-  /// `id` reached its terminal state: no longer cancellable, and a mark
-  /// that arrived after its last step goes with it.
-  void retire(int64_t id) {
-    std::lock_guard lk(mu_);
-    decoding_ = -1;
-    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), id),
-                     cancelled_.end());
-  }
-
-  static Completion unserved(const runtime::InferRequest& r,
-                             runtime::StopReason why) {
-    Completion c;
-    c.id = r.id;
-    c.prompt_tokens = r.prompt.size(1);
-    c.stop_reason = why;
-    c.enqueue_s = r.enqueue_s;
-    c.finish_s = runtime::serve_clock_s();
-    return c;
-  }
-
-  InferenceConfig cfg_;
-  model::StageModule module_;
-  runtime::KvStore store_;
-  /// Guards queue_, cancelled_, decoding_ and stats_.submitted: enqueue()
-  /// and cancel() may run on other threads (or inside on_token) while
-  /// drain() runs. Never held across decoding or a callback.
-  sync::Mutex<sync::Rank::ServeQueue> mu_;
-  std::deque<runtime::InferRequest> queue_;
-  std::vector<int64_t> cancelled_;
-  int64_t decoding_ = -1;  ///< popped, not yet retired; -1 between requests
-  int64_t next_id_ = 0;
-  runtime::ServeStats stats_;
 };
 
 /// Forward-only dry run: executes nothing; enqueue/drain book-keep request
@@ -280,13 +71,19 @@ class ReferenceInferBackend final : public InferBackend {
 /// same code path as InferenceSession::predict(), hence exact agreement.
 class SimInferBackend final : public InferBackend {
  public:
-  explicit SimInferBackend(const InferenceConfig& cfg) : cfg_(cfg) {}
+  explicit SimInferBackend(const InferenceConfig& cfg)
+      : cfg_(cfg), infer_(cfg.infer_config()) {}
 
   BackendKind kind() const override { return BackendKind::Sim; }
 
-  // A dry run produces no tokens, so the streaming callback never fires
-  // (and deadlines/cancellation have nothing to abort).
-  int64_t enqueue(tensor::Tensor, int, TokenCallback, double) override {
+  // Admission validates exactly as on the live backends (the shared
+  // helper), but nothing is queued: a dry run produces no tokens, so the
+  // streaming callback never fires (and deadlines/cancellation have
+  // nothing to abort).
+  int64_t enqueue(tensor::Tensor prompt, int max_new_tokens, TokenCallback,
+                  double deadline_s) override {
+    (void)runtime::make_infer_request(infer_, std::move(prompt),
+                                      max_new_tokens, next_id_, deadline_s);
     return next_id_++;
   }
 
@@ -321,6 +118,7 @@ class SimInferBackend final : public InferBackend {
 
  private:
   InferenceConfig cfg_;
+  runtime::InferConfig infer_;
   mutable schedule::Schedule sched_;
   int64_t next_id_ = 0;
   int64_t drained_ = 0;
@@ -344,9 +142,8 @@ std::unique_ptr<InferBackend> make_infer_backend(const InferenceConfig& cfg) {
   }
   switch (cfg.backend) {
     case BackendKind::Threads:
-      return std::make_unique<ThreadInferBackend>(cfg);
     case BackendKind::Reference:
-      return std::make_unique<ReferenceInferBackend>(cfg);
+      return std::make_unique<ServerInferBackend>(cfg);
     case BackendKind::Sim:
       return std::make_unique<SimInferBackend>(cfg);
     case BackendKind::Async:

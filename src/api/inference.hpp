@@ -46,9 +46,12 @@ using runtime::Completion;
 using runtime::TokenCallback;
 using runtime::TokenEvent;
 
-/// The pluggable serving engine behind an InferenceSession: pipelined
-/// worker threads, the sequential full-prefix-recompute reference, or the
-/// forward-only event simulation.
+/// The pluggable serving engine behind an InferenceSession. Threads and
+/// Reference are one runtime::InferenceServer request lifecycle with
+/// different per-pass executors (pipelined worker threads, or a sequential
+/// full-prefix recompute on one replica serving one stream at a time); Sim
+/// is the forward-only event simulation. All three admit through
+/// runtime::make_infer_request, so they refuse the same prompts.
 class InferBackend {
  public:
   virtual ~InferBackend() = default;
@@ -59,7 +62,8 @@ class InferBackend {
   /// `on_token` (optional) streams each selected token back at the pass
   /// boundary that produced it (the Sim dry run produces no tokens and
   /// never calls it). `deadline_s` > 0 is a relative per-request SLA
-  /// overriding the config default.
+  /// overriding the config default. Throws std::invalid_argument on a
+  /// prompt runtime::make_infer_request refuses.
   virtual int64_t enqueue(tensor::Tensor prompt, int max_new_tokens,
                           TokenCallback on_token = {},
                           double deadline_s = 0.0) = 0;

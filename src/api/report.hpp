@@ -135,8 +135,8 @@ struct ServeReport {
   /// plus the prefill pass wall (perf::LoadPrediction::p50/p99_ttft_s).
   double predicted_p50_ttft_s = 0.0;
   double predicted_p99_ttft_s = 0.0;
-  /// Per-replica counters (index = replica id); empty on the sequential
-  /// Reference, one entry per replica on Threads and in predictions.
+  /// Per-replica counters (index = replica id): one entry per replica on
+  /// the live backends (Reference has exactly one) and in predictions.
   /// submitted/rejected live in the totals only (admission control runs
   /// before a replica ever sees the request).
   std::vector<runtime::ServeStats> replicas;

@@ -10,8 +10,8 @@ namespace {
 
 void check_batch(const runtime::Batch& batch, int64_t vocab,
                  const std::string& who) {
-  check_token_ids(batch.inputs, vocab, who + " inputs");
-  check_token_ids(batch.targets, vocab, who + " targets");
+  model::check_token_ids(batch.inputs, vocab, who + " inputs");
+  model::check_token_ids(batch.targets, vocab, who + " targets");
 }
 
 }  // namespace

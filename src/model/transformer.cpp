@@ -1,10 +1,23 @@
 #include "model/transformer.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
 
 namespace hanayo::model {
+
+void check_token_ids(const Tensor& ids, int64_t vocab,
+                     const std::string& what) {
+  const float* p = ids.data();
+  for (int64_t i = 0; i < ids.numel(); ++i) {
+    if (p[i] > -1.0f && p[i] < static_cast<float>(vocab)) continue;
+    std::ostringstream msg;
+    msg << what << ": token id " << p[i] << " at position " << i
+        << " is outside the vocabulary [0, " << vocab << ")";
+    throw std::invalid_argument(msg.str());
+  }
+}
 
 // ------------------------------------------------------------- LayerDesc
 

@@ -87,6 +87,14 @@ struct ModelConfig {
   int64_t total_params() const;
 };
 
+/// Throws std::invalid_argument when a token id in `ids` (ids are stored
+/// as floats and truncated, as the embedding reads them) lies outside
+/// [0, vocab); the message starts with `what` and names the flat position
+/// and the id. Training sessions and serving admission run it before any
+/// worker does, so a bad id fails the call instead of throwing inside one
+/// pipeline stage.
+void check_token_ids(const Tensor& ids, int64_t vocab, const std::string& what);
+
 /// Pre-LN transformer block: x + MHA(LN(x)), then x + MLP(LN(x)).
 class Block : public Layer {
  public:

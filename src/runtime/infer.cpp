@@ -4,11 +4,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "runtime/kv_store.hpp"
+#include "runtime/worker.hpp"
 #include "schedule/validate.hpp"
 
 namespace hanayo::runtime {
@@ -100,11 +104,20 @@ KvStoreConfig kv_store_config(const InferConfig& cfg) {
   return kc;
 }
 
-KvStoreConfig private_stream_store(InferConfig cfg) {
+// The sequential ground truth's shape: one replica serving one private
+// worst-case stream at a time, behind an unbounded queue.
+static InferConfig recompute_config(InferConfig cfg) {
+  cfg.dp = 1;
   cfg.max_batch = 1;
   cfg.prefix_cache = false;
   cfg.kv_pool_pages = 0;
-  return kv_store_config(cfg);
+  cfg.queue_policy = QueuePolicy::Unbounded;
+  cfg.max_queue = 0;
+  return cfg;
+}
+
+KvStoreConfig private_stream_store(InferConfig cfg) {
+  return kv_store_config(recompute_config(std::move(cfg)));
 }
 
 void Sampling::validate() const {
@@ -296,26 +309,26 @@ double serve_per_token_latency_s(const ServeStats& totals) {
                                   : 0.0;
 }
 
-InferRequest make_infer_request(Tensor prompt, int max_new_tokens,
-                                int default_new_tokens, int64_t model_seq,
-                                int64_t id, double deadline_s,
-                                double default_deadline_s) {
+InferRequest make_infer_request(const InferConfig& cfg, Tensor prompt,
+                                int max_new_tokens, int64_t id,
+                                double deadline_s) {
   if (prompt.dim() == 1) prompt = prompt.reshaped({1, prompt.numel()});
   if (prompt.dim() != 2 || prompt.size(0) != 1 || prompt.numel() < 1) {
     throw std::invalid_argument("enqueue: prompt must be [t] or [1, t] ids");
   }
-  const int want = max_new_tokens > 0 ? max_new_tokens : default_new_tokens;
-  if (prompt.size(1) + want - 1 > model_seq) {
+  model::check_token_ids(prompt, cfg.model.vocab, "enqueue prompt");
+  const int want = max_new_tokens > 0 ? max_new_tokens : cfg.max_new_tokens;
+  if (prompt.size(1) + want - 1 > cfg.model.seq) {
     throw std::invalid_argument(
         "enqueue: prompt + continuation exceeds the model's " +
-        std::to_string(model_seq) + " positions");
+        std::to_string(cfg.model.seq) + " positions");
   }
   InferRequest r;
   r.id = id;
   r.prompt = std::move(prompt);
   r.max_new_tokens = want;
   r.enqueue_s = serve_clock_s();
-  const double sla = deadline_s > 0.0 ? deadline_s : default_deadline_s;
+  const double sla = deadline_s > 0.0 ? deadline_s : cfg.deadline_s;
   r.deadline_s = sla > 0.0 ? r.enqueue_s + sla : 0.0;
   return r;
 }
@@ -661,12 +674,201 @@ class InferWorker {
   tensor::Arena arena_;  ///< pass-lifetime allocations, reset per pass
 };
 
+// ------------------------------------------------------------ PipelineGang
+
+/// The Threads executor: cfg.sched.P InferWorkers on their own comm::World,
+/// run by a persistent gang of threads that interprets the forward-only
+/// schedule compiled for each pass's batch.
+class PipelineGang final : public PassExecutor {
+ public:
+  PipelineGang(const InferConfig& cfg, KvStore* store) : req_(cfg.sched) {
+    // Compiling B=1 up front surfaces unsupported algorithms (Chimera,
+    // PipeDream) and infeasible stage counts at construction time.
+    (void)schedule_for(1);
+    const schedule::Placement placement = schedule::make_placement(cfg.sched);
+    last_stage_device_ = placement.at(0, placement.stages() - 1).device;
+    const int P = cfg.sched.P;
+    world_ = std::make_unique<comm::World>(P);
+    for (int d = 0; d < P; ++d) {
+      workers_.push_back(std::make_unique<InferWorker>(
+          cfg, placement, d, comm::Communicator(world_.get(), d)));
+    }
+    for (auto& w : workers_) w->set_kv_store(store);
+    // Persistent pass gang: spawned once here, woken per pass by epoch.
+    gang_errors_.resize(workers_.size());
+    gang_threads_.reserve(workers_.size());
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      gang_threads_.emplace_back([this, i] { gang_main(i); });
+    }
+  }
+
+  ~PipelineGang() override {
+    {
+      std::lock_guard lk(gang_mu_);
+      gang_quit_ = true;
+    }
+    gang_cv_.notify_all();
+    for (std::thread& t : gang_threads_) t.join();
+  }
+
+  const schedule::Schedule* schedule_for(int batch) override {
+    auto it = sched_cache_.find(batch);
+    if (it == sched_cache_.end()) {
+      schedule::ScheduleRequest req = req_;
+      req.B = batch;
+      schedule::Schedule sched = schedule::make_forward_schedule(req);
+      const schedule::ValidationResult vr = schedule::validate(sched);
+      if (!vr.ok) {
+        throw std::logic_error("InferencePipeline: invalid schedule: " +
+                               vr.error);
+      }
+      it = sched_cache_.emplace(batch, std::move(sched)).first;
+    }
+    return &it->second;
+  }
+
+  const std::vector<int64_t>& run(const std::vector<PassEntry>& plan) override {
+    const schedule::Schedule* sched =
+        schedule_for(static_cast<int>(plan.size()));
+    // Hand the pass to the persistent gang and wait for every worker.
+    {
+      std::lock_guard lk(gang_mu_);
+      gang_sched_ = sched;
+      gang_plan_ = &plan;
+      gang_done_ = 0;
+      for (std::exception_ptr& e : gang_errors_) e = nullptr;
+      ++gang_epoch_;
+    }
+    gang_cv_.notify_all();
+    {
+      std::unique_lock lk(gang_mu_);
+      gang_cv_.wait(lk, [&] {
+        return gang_done_ == static_cast<int>(workers_.size());
+      });
+    }
+    for (std::exception_ptr& e : gang_errors_) {
+      if (e) {
+        std::exception_ptr ex = e;
+        e = nullptr;
+        std::rethrow_exception(ex);
+      }
+    }
+    return workers_[static_cast<size_t>(last_stage_device_)]->next_tokens();
+  }
+
+ private:
+  /// Body of gang thread `i`: waits for the next published pass epoch,
+  /// runs workers_[i]->run_pass, reports completion. See gang_* members.
+  void gang_main(size_t i) {
+    uint64_t seen = 0;
+    for (;;) {
+      const schedule::Schedule* sched = nullptr;
+      const std::vector<PassEntry>* plan = nullptr;
+      {
+        std::unique_lock lk(gang_mu_);
+        gang_cv_.wait(lk, [&] { return gang_quit_ || gang_epoch_ != seen; });
+        if (gang_quit_) return;
+        seen = gang_epoch_;
+        sched = gang_sched_;
+        plan = gang_plan_;
+      }
+      // The pass body runs with no gang lock held: worker-side locks
+      // (IntraOpSubmit, Mailbox, ...) start from an empty held set.
+      try {
+        workers_[i]->run_pass(*sched, *plan);
+      } catch (...) {
+        gang_errors_[i] = std::current_exception();  // slot i: this thread only
+      }
+      {
+        std::lock_guard lk(gang_mu_);
+        ++gang_done_;
+      }
+      gang_cv_.notify_all();
+    }
+  }
+
+  schedule::ScheduleRequest req_;
+  int last_stage_device_ = 0;
+  std::unique_ptr<comm::World> world_;
+  std::vector<std::unique_ptr<InferWorker>> workers_;
+  std::map<int, schedule::Schedule> sched_cache_;
+
+  /// Persistent pass gang: one long-lived thread per pipeline worker,
+  /// rendezvousing with the driver through an epoch counter instead of
+  /// being spawned and joined per pass (a steady-state decode pass must
+  /// not create threads — thread stacks are heap allocations). The
+  /// Rank::InferGang mutex is held only at the hand-off (publish epoch /
+  /// count completions), never across a pass body, so worker-side comm
+  /// and kernel locks nest inside it legally.
+  std::vector<std::exception_ptr> gang_errors_;  ///< slot i: thread i only
+  sync::Mutex<sync::Rank::InferGang> gang_mu_;
+  sync::CondVar gang_cv_;
+  uint64_t gang_epoch_ = 0;
+  int gang_done_ = 0;
+  bool gang_quit_ = false;
+  /// The pass being run; both valid for one epoch.
+  const schedule::Schedule* gang_sched_ = nullptr;
+  const std::vector<PassEntry>* gang_plan_ = nullptr;
+  std::vector<std::thread> gang_threads_;  ///< last: uses every member above
+};
+
+// ------------------------------------------------------ FullPrefixRecompute
+
+/// The Reference executor: one whole-model StageModule on the replica's
+/// store, no pipeline and no KV reuse across passes. Every pass drops each
+/// stream's slot and decodes its whole token history from position 0.
+/// Its logits match the gang's incremental decode bitwise, and it selects
+/// through the same sample_last_row with the entry's draw — so Threads ≡
+/// Reference tokens test the KV-cache decode, not the bookkeeping.
+class FullPrefixRecompute final : public PassExecutor {
+ public:
+  FullPrefixRecompute(const InferConfig& cfg, KvStore* store)
+      : sampling_(cfg.sampling), store_(store),
+        module_(cfg.model.layer_descs(), 0,
+                static_cast<int>(cfg.model.layer_descs().size()), cfg.seed,
+                cfg.model.init_std),
+        history_(static_cast<size_t>(cfg.max_batch)) {
+    // Same page store (and fp16 quantization) as the pipeline workers, so
+    // the token-identity guarantee extends to kv_fp16 runs.
+    module_.set_kv_store(store_);
+  }
+
+  const std::vector<int64_t>& run(const std::vector<PassEntry>& plan) override {
+    next_.clear();
+    for (const PassEntry& e : plan) {
+      std::vector<float>& h = history_[static_cast<size_t>(e.slot)];
+      if (e.pos0 == 0) h.clear();  // a new stream starts at position 0
+      if (e.pos0 != static_cast<int64_t>(h.size())) {
+        throw std::logic_error(
+            "recompute: entry at position " + std::to_string(e.pos0) +
+            ", stream history holds " + std::to_string(h.size()) + " tokens");
+      }
+      h.insert(h.end(), e.input.data(), e.input.data() + e.input.numel());
+      const Tensor x({1, static_cast<int64_t>(h.size())}, h);
+      // Full-prefix recompute: a fresh KV stream every pass.
+      store_->drop_slot(e.slot);
+      if (!store_->open_slot(e.slot, {}, x.size(1), nullptr)) {
+        throw std::logic_error("recompute: KV pool below one stream");
+      }
+      next_.push_back(
+          sample_last_row(module_.decode(x, 0, e.slot), sampling_, e.u));
+    }
+    return next_;
+  }
+
+ private:
+  Sampling sampling_;
+  KvStore* store_;
+  model::StageModule module_;
+  std::vector<std::vector<float>> history_;  ///< per slot: ids fed so far
+  std::vector<int64_t> next_;
+};
+
 // ------------------------------------------------------ InferencePipeline
 
-InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
-                                     int replica_index)
-    : cfg_(std::move(cfg)), replica_index_(replica_index),
-      queue_(shared ? shared : &own_queue_),
+InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue& queue,
+                                     int replica_index, ExecutorKind exec)
+    : cfg_(std::move(cfg)), replica_index_(replica_index), queue_(queue),
       driver_arena_(int64_t{1} << 20) {
   if (!cfg_.model.causal) {
     throw std::invalid_argument(
@@ -685,91 +887,19 @@ InferencePipeline::InferencePipeline(InferConfig cfg, RequestQueue* shared,
     fault_rng_ = Rng(
         Rng::split(cfg_.fault.seed, static_cast<uint64_t>(replica_index_)));
   }
-  if (shared == nullptr) {
-    // Standalone replica: admission control applies to the owned queue too
-    // (one replica's worth of the pool-derived stream count).
-    InferConfig solo = cfg_;
-    solo.dp = 1;
-    own_queue_.configure(cfg_.queue_policy, cfg_.max_queue > 0
-                                                ? cfg_.max_queue
-                                                : derived_queue_cap(solo));
-  }
-  // Compiling B=1 up front surfaces unsupported algorithms (Chimera,
-  // PipeDream) and infeasible stage counts at construction time.
-  (void)schedule_for(1);
-  placement_ = schedule::make_placement(cfg_.sched);
-  last_stage_device_ = placement_.at(0, placement_.stages() - 1).device;
-
-  const int P = cfg_.sched.P;
-  world_ = std::make_unique<comm::World>(P);
-  for (int d = 0; d < P; ++d) {
-    workers_.push_back(std::make_unique<InferWorker>(
-        cfg_, placement_, d, comm::Communicator(world_.get(), d)));
-  }
   store_ = std::make_unique<KvStore>(kv_store_config(cfg_));
-  for (auto& w : workers_) w->set_kv_store(store_.get());
+  if (exec == ExecutorKind::Recompute) {
+    exec_ = std::make_unique<FullPrefixRecompute>(cfg_, store_.get());
+  } else {
+    exec_ = std::make_unique<PipelineGang>(cfg_, store_.get());
+  }
   for (int s = cfg_.max_batch - 1; s >= 0; --s) free_slots_.push_back(s);
   active_.reserve(static_cast<size_t>(cfg_.max_batch));
   still_.reserve(static_cast<size_t>(cfg_.max_batch));
   plan_.reserve(static_cast<size_t>(cfg_.max_batch));
-
-  // Persistent pass gang: spawned once here, woken per pass by epoch.
-  gang_errors_.resize(workers_.size());
-  gang_threads_.reserve(workers_.size());
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    gang_threads_.emplace_back([this, i] { gang_main(i); });
-  }
 }
 
-InferencePipeline::~InferencePipeline() {
-  {
-    std::lock_guard lk(gang_mu_);
-    gang_quit_ = true;
-  }
-  gang_cv_.notify_all();
-  for (std::thread& t : gang_threads_) t.join();
-}
-
-void InferencePipeline::gang_main(size_t i) {
-  uint64_t seen = 0;
-  for (;;) {
-    const schedule::Schedule* sched = nullptr;
-    {
-      std::unique_lock lk(gang_mu_);
-      gang_cv_.wait(lk, [&] { return gang_quit_ || gang_epoch_ != seen; });
-      if (gang_quit_) return;
-      seen = gang_epoch_;
-      sched = gang_sched_;
-    }
-    // The pass body runs with no gang lock held: worker-side locks
-    // (IntraOpSubmit, Mailbox, ...) start from an empty held set.
-    try {
-      workers_[i]->run_pass(*sched, plan_);
-    } catch (...) {
-      gang_errors_[i] = std::current_exception();  // slot i: this thread only
-    }
-    {
-      std::lock_guard lk(gang_mu_);
-      ++gang_done_;
-    }
-    gang_cv_.notify_all();
-  }
-}
-
-const schedule::Schedule& InferencePipeline::schedule_for(int batch) {
-  auto it = sched_cache_.find(batch);
-  if (it == sched_cache_.end()) {
-    schedule::ScheduleRequest req = cfg_.sched;
-    req.B = batch;
-    schedule::Schedule sched = schedule::make_forward_schedule(req);
-    const schedule::ValidationResult vr = schedule::validate(sched);
-    if (!vr.ok) {
-      throw std::logic_error("InferencePipeline: invalid schedule: " + vr.error);
-    }
-    it = sched_cache_.emplace(batch, std::move(sched)).first;
-  }
-  return it->second;
-}
+InferencePipeline::~InferencePipeline() = default;
 
 int64_t InferencePipeline::slot_bytes() const {
   return store_->slot_ref_bytes();
@@ -781,26 +911,9 @@ int64_t InferencePipeline::pages_in_use() const {
 
 void InferencePipeline::clear_prefix_cache() { store_->clear_prefix_cache(); }
 
-int64_t InferencePipeline::enqueue(tensor::Tensor prompt, int max_new_tokens,
-                                   TokenCallback on_token, double deadline_s) {
-  InferRequest r = make_infer_request(std::move(prompt), max_new_tokens,
-                                      cfg_.max_new_tokens, cfg_.model.seq,
-                                      next_id_++, deadline_s, cfg_.deadline_s);
-  r.on_token = std::move(on_token);
-  const int64_t id = r.id;
-  std::vector<InferRequest> refused = queue_->push(std::move(r));
-  std::lock_guard lk(enqueue_mu_);
-  ++enqueue_stats_.submitted;
-  for (const InferRequest& ref : refused) {
-    ++enqueue_stats_.rejected;
-    rejected_done_.push_back(unserved_completion(ref, StopReason::Rejected));
-  }
-  return id;
-}
-
 void InferencePipeline::finish_unserved(const InferRequest& r,
                                         StopReason why) {
-  queue_->retire(r.id);
+  queue_.retire(r.id);
   done_.push_back(unserved_completion(r, why));
   if (why == StopReason::Cancelled) {
     ++stats_.cancelled;
@@ -818,13 +931,13 @@ void InferencePipeline::admit() {
   const double now = serve_clock_s();
   // Deadline sweep of the whole queue first: queued requests time out
   // within one pass of their deadline even while every slot is busy.
-  for (const InferRequest& r : queue_->take_expired(now)) {
+  for (const InferRequest& r : queue_.take_expired(now)) {
     finish_unserved(r, StopReason::DeadlineExceeded);
   }
   while (!free_slots_.empty()) {
     InferRequest r;
-    if (!queue_->pop(r)) break;
-    if (queue_->consume_cancelled(r.id)) {
+    if (!queue_.pop(r)) break;
+    if (queue_.consume_cancelled(r.id)) {
       finish_unserved(r, StopReason::Cancelled);
       continue;
     }
@@ -863,7 +976,7 @@ void InferencePipeline::admit() {
       }
       // Pool dry under load: the request keeps its place in line and
       // retries once a finishing stream releases its reservation.
-      queue_->push_front(std::move(r));
+      queue_.push_front(std::move(r));
       break;
     }
     seq.shared_tokens = shared;
@@ -898,7 +1011,7 @@ void InferencePipeline::finish_active(ActiveSeq& seq, StopReason why,
   c.first_token_s = seq.first_token_s;
   c.finish_s = now_s;
   done_.push_back(std::move(c));
-  queue_->retire(seq.id);
+  queue_.retire(seq.id);
   store_->drop_slot(seq.slot);
   free_slots_.push_back(seq.slot);
   if (why == StopReason::Cancelled) {
@@ -914,7 +1027,7 @@ void InferencePipeline::reap_aborted() {
   // Fast path for the steady state (no deadlines hit, no cancel marks):
   // no allocation, no rebuild — the per-pass allocation budget of
   // tests/runtime/test_alloc_decode.cpp stays untouched.
-  bool any = queue_->any_cancelled();
+  bool any = queue_.any_cancelled();
   for (const ActiveSeq& s : active_) {
     if (any) break;
     any = s.deadline_s > 0.0 && now > s.deadline_s;
@@ -923,7 +1036,7 @@ void InferencePipeline::reap_aborted() {
   std::vector<ActiveSeq> still;
   still.reserve(active_.size());
   for (ActiveSeq& seq : active_) {
-    if (queue_->consume_cancelled(seq.id)) {
+    if (queue_.consume_cancelled(seq.id)) {
       finish_active(seq, StopReason::Cancelled, now);
     } else if (seq.deadline_s > 0.0 && now > seq.deadline_s) {
       finish_active(seq, StopReason::DeadlineExceeded, now);
@@ -951,73 +1064,56 @@ void InferencePipeline::inject_faults() {
 }
 
 void InferencePipeline::run_pass() {
-  // Driver-side pass arena: the plan's input tensors (the [1, 1] decode
-  // feeds, prefix-hit prompt tails, prompt copies) live exactly one pass —
-  // the gang consumes them before its Flush barrier — so they draw from
-  // this arena, reclaimed wholesale at the next pass's entry.
-  tensor::ArenaScope pass_arena(driver_arena_);
-  plan_.clear();
   bool any_prefill = false;
-  for (ActiveSeq& seq : active_) {
-    PassEntry e;
-    e.slot = seq.slot;
-    // One uniform per generated token, drawn from the request's own stream:
-    // draw order is per-sequence, so batch composition, pass interleaving
-    // and replica assignment cannot shift it.
-    if (cfg_.sampling.stochastic()) e.u = seq.rng.uniform();
-    if (!seq.prefilled) {
-      if (seq.shared_tokens > 0) {
-        // Prefix hit: the first shared_tokens rows are already in cached
-        // pages (bitwise what this prefill would have computed), so the
-        // prefill micro-batch carries only the unshared suffix.
-        e.pos0 = seq.shared_tokens;
-        const int64_t rest = seq.prompt_tokens - seq.shared_tokens;
-        Tensor tail({1, rest});
-        const float* src = seq.input_prompt.data() + seq.shared_tokens;
-        std::copy(src, src + rest, tail.data());
-        e.input = std::move(tail);
+  {
+    // Driver-side pass arena: the plan's input tensors (the [1, 1] decode
+    // feeds, prefix-hit prompt tails, prompt copies) live exactly one pass —
+    // the executor consumes them before it returns — so they draw from this
+    // arena, reclaimed wholesale at the next pass's entry. The executor
+    // itself runs outside it: the gang's workers have arenas of their own,
+    // and the recompute's full-prefix temporaries go to the heap.
+    tensor::ArenaScope pass_arena(driver_arena_);
+    plan_.clear();
+    for (ActiveSeq& seq : active_) {
+      PassEntry e;
+      e.slot = seq.slot;
+      // One uniform per generated token, drawn from the request's own
+      // stream: draw order is per-sequence, so batch composition, pass
+      // interleaving and replica assignment cannot shift it.
+      if (cfg_.sampling.stochastic()) e.u = seq.rng.uniform();
+      if (!seq.prefilled) {
+        if (seq.shared_tokens > 0) {
+          // Prefix hit: the first shared_tokens rows are already in cached
+          // pages (bitwise what this prefill would have computed), so the
+          // prefill micro-batch carries only the unshared suffix.
+          e.pos0 = seq.shared_tokens;
+          const int64_t rest = seq.prompt_tokens - seq.shared_tokens;
+          Tensor tail({1, rest});
+          const float* src = seq.input_prompt.data() + seq.shared_tokens;
+          std::copy(src, src + rest, tail.data());
+          e.input = std::move(tail);
+        } else {
+          e.pos0 = 0;
+          e.input = seq.input_prompt;
+        }
+        any_prefill = true;
       } else {
-        e.pos0 = 0;
-        e.input = seq.input_prompt;
+        e.pos0 = seq.len;
+        Tensor one({1, 1});
+        one[0] = static_cast<float>(seq.last_token);
+        e.input = std::move(one);
       }
-      any_prefill = true;
-    } else {
-      e.pos0 = seq.len;
-      Tensor one({1, 1});
-      one[0] = static_cast<float>(seq.last_token);
-      e.input = std::move(one);
+      plan_.push_back(std::move(e));
     }
-    plan_.push_back(std::move(e));
   }
 
-  const schedule::Schedule& sched =
-      schedule_for(static_cast<int>(plan_.size()));
   const auto t0 = std::chrono::steady_clock::now();
   // Injected stalls land inside the timed region: a fault-degraded run
   // shows its degradation in prefill_s/decode_s like a real slow device.
+  // So does compiling a schedule, on a batch size's first pass.
   inject_faults();
   ++passes_run_;
-  // Hand the pass to the persistent gang and wait for every worker.
-  {
-    std::lock_guard lk(gang_mu_);
-    gang_sched_ = &sched;
-    gang_done_ = 0;
-    for (std::exception_ptr& e : gang_errors_) e = nullptr;
-    ++gang_epoch_;
-  }
-  gang_cv_.notify_all();
-  {
-    std::unique_lock lk(gang_mu_);
-    gang_cv_.wait(lk,
-                  [&] { return gang_done_ == static_cast<int>(workers_.size()); });
-  }
-  for (std::exception_ptr& e : gang_errors_) {
-    if (e) {
-      std::exception_ptr ex = e;
-      e = nullptr;
-      std::rethrow_exception(ex);
-    }
-  }
+  const std::vector<int64_t>& toks = exec_->run(plan_);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1035,8 +1131,6 @@ void InferencePipeline::run_pass() {
   stats_.kv_pages_peak = std::max(stats_.kv_pages_peak, store_->pages_in_use());
 
   const double now = serve_clock_s();
-  const std::vector<int64_t>& toks =
-      workers_[static_cast<size_t>(last_stage_device_)]->next_tokens();
   still_.clear();
   for (size_t i = 0; i < active_.size(); ++i) {
     ActiveSeq& seq = active_[i];
@@ -1087,7 +1181,7 @@ void InferencePipeline::run_pass() {
             static_cast<double>(c.tokens.size() - 1));
       }
       done_.push_back(std::move(c));
-      queue_->retire(seq.id);
+      queue_.retire(seq.id);
       store_->drop_slot(seq.slot);
       free_slots_.push_back(seq.slot);
     } else {
@@ -1107,21 +1201,13 @@ std::vector<Completion> InferencePipeline::drain() {
     if (active_.empty()) {
       // Aborts may have freed every slot while the queue still holds
       // work — loop back to admit; momentarily-empty queue ends the drain.
-      if (queue_->empty()) break;
+      if (queue_.empty()) break;
       continue;
     }
     run_pass();
   }
   std::vector<Completion> out = std::move(done_);
   done_.clear();
-  {
-    std::lock_guard lk(enqueue_mu_);
-    out.insert(out.end(), std::make_move_iterator(rejected_done_.begin()),
-               std::make_move_iterator(rejected_done_.end()));
-    rejected_done_.clear();
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Completion& a, const Completion& b) { return a.id < b.id; });
   return out;
 }
 
@@ -1130,15 +1216,14 @@ ServeStats InferencePipeline::stats() const {
   out.kv_pages_in_use = store_->pages_in_use();
   out.prefix_hits = store_->prefix_hits();
   out.prefix_hit_tokens = store_->prefix_hit_tokens();
-  std::lock_guard lk(enqueue_mu_);
-  out.submitted += enqueue_stats_.submitted;
-  out.rejected += enqueue_stats_.rejected;
   return out;
 }
 
 // ------------------------------------------------------- InferenceServer
 
-InferenceServer::InferenceServer(InferConfig cfg) : cfg_(std::move(cfg)) {
+InferenceServer::InferenceServer(InferConfig cfg, ExecutorKind exec)
+    : cfg_(exec == ExecutorKind::Recompute ? recompute_config(std::move(cfg))
+                                           : std::move(cfg)) {
   if (cfg_.dp < 1) {
     throw std::invalid_argument("InferenceServer: dp < 1");
   }
@@ -1146,7 +1231,8 @@ InferenceServer::InferenceServer(InferConfig cfg) : cfg_(std::move(cfg)) {
                                           ? cfg_.max_queue
                                           : derived_queue_cap(cfg_));
   for (int r = 0; r < cfg_.dp; ++r) {
-    replicas_.push_back(std::make_unique<InferencePipeline>(cfg_, &queue_, r));
+    replicas_.push_back(
+        std::make_unique<InferencePipeline>(cfg_, queue_, r, exec));
   }
 }
 
@@ -1154,9 +1240,9 @@ InferenceServer::~InferenceServer() = default;
 
 int64_t InferenceServer::enqueue(tensor::Tensor prompt, int max_new_tokens,
                                  TokenCallback on_token, double deadline_s) {
-  InferRequest r = make_infer_request(std::move(prompt), max_new_tokens,
-                                      cfg_.max_new_tokens, cfg_.model.seq,
-                                      next_id_++, deadline_s, cfg_.deadline_s);
+  InferRequest r = make_infer_request(cfg_, std::move(prompt), max_new_tokens,
+                                      next_id_, deadline_s);
+  ++next_id_;
   r.on_token = std::move(on_token);
   const int64_t id = r.id;
   std::vector<InferRequest> refused = queue_.push(std::move(r));

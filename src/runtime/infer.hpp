@@ -12,30 +12,33 @@
 // request's prefill micro-batch rides through the pipeline alongside the
 // ongoing sequences' decode micro-batches.
 //
+// One request lifecycle serves every live engine. `InferencePipeline`
+// admits, aborts, stamps completions and counts; a `PassExecutor` only runs
+// each pass's plan and returns the selected tokens. The pipeline gang
+// executor is the Threads engine; the full-prefix-recompute executor (one
+// unpartitioned module, no KV reuse across passes) is the Reference ground
+// truth.
+//
 // Token selection is a policy (`Sampling`): greedy argmax, or seeded
 // top-k / temperature sampling driven by a per-request RNG stream split
 // from (InferConfig::seed, request id) — so stochastic decodes are
 // bit-identical across the Threads and Reference engines, across runs, and
 // across data-parallel replica assignment.
 //
-// `dp > 1` scales out with `InferenceServer`: dp independent
-// InferencePipeline replicas (each its own comm::World of P workers)
-// drain one shared mutex-guarded RequestQueue, and per-replica ServeStats
-// merge into cluster totals.
+// `InferenceServer` is the only serving entry: dp independent
+// InferencePipeline replicas (each on its own devices) drain one shared
+// mutex-guarded RequestQueue, and per-replica ServeStats merge into
+// cluster totals.
 
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/sync.hpp"
 #include "model/transformer.hpp"
 #include "runtime/kv_store.hpp"
-#include "runtime/worker.hpp"
 #include "schedule/algorithms.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/rng.hpp"
@@ -274,7 +277,7 @@ KvStoreConfig kv_store_config(const InferConfig& cfg);
 
 /// The store of one private worst-case stream of `cfg`'s model: a single
 /// slot, the prefix cache off, the pool derived for it, and cfg's page size
-/// and fp16 option — what the sequential engines decode through.
+/// and fp16 option — what a Recompute server's replica decodes through.
 KvStoreConfig private_stream_store(InferConfig cfg);
 
 /// Cumulative serving counters (see api::ServeReport for the user-facing
@@ -284,9 +287,9 @@ KvStoreConfig private_stream_store(InferConfig cfg);
 /// terminal state, so after a full drain
 ///   submitted == completed + cancelled + timed_out + rejected
 /// holds on merged cluster totals (`terminal()` is the right-hand side).
-/// `submitted`/`rejected` are stamped at the enqueue side (the server, or
-/// a pipeline owning its queue); the serving replica stamps the other
-/// three — so per-replica rows conserve only in aggregate.
+/// `submitted`/`rejected` are stamped at the enqueue side (the server);
+/// the serving replica stamps the other three — so per-replica rows
+/// conserve only in aggregate.
 struct ServeStats {
   int64_t requests = 0;  ///< admitted into a KV slot (not: submitted)
   int64_t prompt_tokens = 0;
@@ -336,8 +339,8 @@ ServeStats merge_stats(const std::vector<ServeStats>& per_replica);
 /// api::ServeReport's accessors and the serving planner's candidate rows
 /// both delegate here, which is what makes their equality structural
 /// rather than maintained by parallel edits. `totals` are the merged
-/// counters; `replicas` the per-replica breakdown (may be empty, e.g. the
-/// sequential Reference), `dp` the replica count the sums span.
+/// counters; `replicas` the per-replica breakdown (may be empty), `dp` the
+/// replica count the sums span.
 ///
 /// Elapsed-time estimate for concurrent replicas: the slowest replica's
 /// busy seconds when the breakdown is present (robust to skewed admission
@@ -376,17 +379,17 @@ int64_t sample_last_row(const tensor::Tensor& logits, const Sampling& s,
 /// True when `tok` is one of the configured stop tokens.
 bool is_stop_token(const std::vector<int64_t>& stop_tokens, int64_t tok);
 
-/// Shared request admission: normalises a [t] or [1, t] prompt, applies the
-/// config-default continuation length, and enforces the positional bound
-/// (prompt + continuation - 1 must fit `model_seq`; the last generated
-/// token never re-enters the cache). Stamps `enqueue_s` with the current
-/// serve clock and resolves the deadline: `deadline_s` > 0 is a relative
-/// SLA from now, 0 falls back to `default_deadline_s` (the config default;
-/// 0 again means none). Throws std::invalid_argument.
-InferRequest make_infer_request(tensor::Tensor prompt, int max_new_tokens,
-                                int default_new_tokens, int64_t model_seq,
-                                int64_t id, double deadline_s = 0.0,
-                                double default_deadline_s = 0.0);
+/// Shared request admission: normalises a [t] or [1, t] prompt, checks
+/// every id against the model's vocabulary (model::check_token_ids),
+/// applies the config-default continuation length, and enforces the
+/// positional bound (prompt + continuation - 1 must fit `cfg.model.seq`;
+/// the last generated token never re-enters the cache). Stamps `enqueue_s`
+/// with the current serve clock and resolves the deadline: `deadline_s` > 0
+/// is a relative SLA from now, 0 falls back to `cfg.deadline_s` (0 again
+/// means none). Throws std::invalid_argument.
+InferRequest make_infer_request(const InferConfig& cfg, tensor::Tensor prompt,
+                                int max_new_tokens, int64_t id,
+                                double deadline_s = 0.0);
 
 /// Mutex-guarded FIFO of pending requests — the single queue dp pipeline
 /// replicas drain concurrently (each pop hands one request to whichever
@@ -440,7 +443,8 @@ class RequestQueue {
   int cap_ = 0;
 };
 
-/// One micro-batch of one pipeline pass (internal, shared with InferWorker).
+/// One micro-batch of one serving pass: what InferencePipeline hands its
+/// PassExecutor for each active stream.
 struct PassEntry {
   int slot = 0;        ///< KV-cache stream
   int64_t pos0 = 0;    ///< absolute position of input's first token
@@ -448,47 +452,62 @@ struct PassEntry {
   tensor::Tensor input;  ///< [1, t] token ids (prompt, or one decoded token)
 };
 
-class InferWorker;
+/// What runs a serving pass.
+enum class ExecutorKind {
+  /// cfg.sched.P worker devices interpreting the forward-only schedule,
+  /// decoding incrementally through the KV pages (the Threads engine).
+  PipelineGang,
+  /// One whole-model module that decodes each stream's full token history
+  /// from position 0 every pass (the Reference ground truth).
+  Recompute,
+};
 
+/// The per-pass half of serving: runs one pass of `plan` and selects each
+/// entry's next token through sample_last_row with the entry's draw.
+/// Admission, aborts, completions and stats belong to InferencePipeline.
+class PassExecutor {
+ public:
+  PassExecutor() = default;
+  PassExecutor(const PassExecutor&) = delete;
+  PassExecutor& operator=(const PassExecutor&) = delete;
+  PassExecutor(PassExecutor&&) = delete;
+  PassExecutor& operator=(PassExecutor&&) = delete;
+  virtual ~PassExecutor() = default;
+  /// Element i is plan[i]'s selected token; valid until the next call.
+  virtual const std::vector<int64_t>& run(
+      const std::vector<PassEntry>& plan) = 0;
+  /// The forward-only schedule for `batch` streams (compiled on first use,
+  /// then cached); null when the executor runs none.
+  virtual const schedule::Schedule* schedule_for(int batch) {
+    (void)batch;
+    return nullptr;
+  }
+};
+
+/// One serving replica: the request lifecycle (admission from the shared
+/// queue, the pass-boundary abort sweep, completion stamping, stats) over
+/// its own KvStore and PassExecutor. InferenceServer builds these.
 class InferencePipeline {
  public:
-  /// Builds one pipeline replica of `cfg.sched.P` worker devices. Requires
-  /// a causal model (decode re-feeds the last position) and a
-  /// unidirectional algorithm (no Chimera). When `shared` is non-null the
-  /// replica admits from that queue instead of its own (InferenceServer);
-  /// `cfg.dp` is ignored here — replication lives in InferenceServer.
-  /// `replica_index` selects this replica's fault-injection stream.
-  explicit InferencePipeline(InferConfig cfg, RequestQueue* shared = nullptr,
-                             int replica_index = 0);
+  /// Builds one replica admitting from `queue`, with a KV store for
+  /// `cfg.max_batch` streams and the executor `exec` names on it. Requires
+  /// a causal model (decode re-feeds the last position); the pipeline gang
+  /// also requires a unidirectional algorithm (no Chimera). `cfg.dp` is
+  /// ignored here — replication lives in InferenceServer. `replica_index`
+  /// selects this replica's fault-injection stream.
+  InferencePipeline(InferConfig cfg, RequestQueue& queue, int replica_index,
+                    ExecutorKind exec);
   ~InferencePipeline();
 
-  /// Queues a prompt; returns the request id (also the cancel handle).
-  /// `max_new_tokens` of 0 uses the config default. `on_token` (optional)
-  /// streams each selected token at the pass boundary that produced it;
-  /// an aborted request's stream simply stops (its last event has
-  /// last == false). `deadline_s` > 0 is a relative SLA from now; 0 uses
-  /// the config default. Throws if prompt length + continuation would
-  /// exceed the model's positional table (`model.seq`).
-  int64_t enqueue(tensor::Tensor prompt, int max_new_tokens = 0,
-                  TokenCallback on_token = {}, double deadline_s = 0.0);
-
-  /// Requests cancellation of `id` (thread-safe, callable concurrently
-  /// with drain). Honoured at the next pass boundary: the sequence's KV
-  /// slot frees immediately and its Completion is stamped Cancelled with
-  /// whatever tokens were already generated. Unknown or already-finished
-  /// ids are a harmless no-op.
-  void cancel(int64_t id) { queue_->cancel(id); }
-
-  /// Runs pipeline passes until the request queue is empty and every
-  /// admitted sequence has completed or aborted; returns the completions
-  /// of this drain in request-id (enqueue) order.
+  /// Runs passes until the shared queue is empty and every admitted
+  /// sequence has completed or aborted; returns the completions of this
+  /// drain in finishing order (the server merges and sorts them, and adds
+  /// its queue's rejections).
   std::vector<Completion> drain();
 
-  bool idle() const { return queue_->empty() && active_.empty(); }
-  /// Replica counters, including enqueue-side submitted/rejected when this
-  /// pipeline owns its queue. Not meaningful concurrently with drain().
+  /// Replica counters (admission-side submitted/rejected live in the
+  /// server). Not meaningful concurrently with drain().
   ServeStats stats() const;
-  const InferConfig& config() const { return cfg_; }
 
   /// Bytes of the KV pages live slots reference — 0 whenever no sequence
   /// is mid-flight (the no-slot-leak invariant). The prefix cache's
@@ -502,9 +521,10 @@ class InferencePipeline {
   /// Drops every unreferenced prefix-cache page.
   void clear_prefix_cache();
 
-  /// The forward-only schedule compiled for `batch` concurrent sequences
-  /// (compiled and validated on first use, then cached).
-  const schedule::Schedule& schedule_for(int batch);
+  /// The executor's schedule for `batch` streams (null for Recompute).
+  const schedule::Schedule* schedule_for(int batch) {
+    return exec_->schedule_for(batch);
+  }
 
  private:
   struct ActiveSeq {
@@ -542,66 +562,41 @@ class InferencePipeline {
   void finish_active(ActiveSeq& seq, StopReason why, double now_s);
   void inject_faults();
   void run_pass();
-  /// Body of gang thread `i`: waits for the next published pass epoch,
-  /// runs workers_[i]->run_pass, reports completion. See gang_* members.
-  void gang_main(size_t i);
 
   InferConfig cfg_;
-  schedule::Placement placement_;
-  int last_stage_device_ = 0;
   int replica_index_ = 0;
-  std::unique_ptr<comm::World> world_;
-  std::vector<std::unique_ptr<InferWorker>> workers_;
-  std::map<int, schedule::Schedule> sched_cache_;
-  RequestQueue own_queue_;
-  RequestQueue* queue_ = nullptr;  ///< own_queue_, or the server's shared one
+  RequestQueue& queue_;             ///< the server's shared queue
   std::unique_ptr<KvStore> store_;  ///< this replica's KV page pool
+  std::unique_ptr<PassExecutor> exec_;  ///< decodes through store_
   std::vector<ActiveSeq> active_;
   std::vector<int> free_slots_;
   std::vector<Completion> done_;
-  int64_t next_id_ = 0;
   ServeStats stats_;
-  ServeStats enqueue_stats_;  ///< submitted/rejected (own-queue mode only)
-  std::vector<Completion> rejected_done_;  ///< own-queue-mode rejections
-  /// Guards enqueue_stats_/rejected_done_: enqueue() may race drain().
-  /// Rank::ServeQueue like the queue mutex — never held at the same time
-  /// as it (sequential same-rank acquisition is legal under the checker).
-  mutable sync::Mutex<sync::Rank::ServeQueue> enqueue_mu_;
   tensor::Rng fault_rng_{0};  ///< per-replica fault stream (seed, replica)
   int passes_run_ = 0;        ///< lifetime pass count (fault scheduling)
 
-  /// Persistent pass gang: one long-lived thread per pipeline worker,
-  /// rendezvousing with the driver through an epoch counter instead of
-  /// being spawned and joined per pass (a steady-state decode pass must
-  /// not create threads — thread stacks are heap allocations). The
-  /// Rank::InferGang mutex is held only at the hand-off (publish epoch /
-  /// count completions), never across a pass body, so worker-side comm
-  /// and kernel locks nest inside it legally.
-  std::vector<std::thread> gang_threads_;
-  std::vector<std::exception_ptr> gang_errors_;  ///< slot i: thread i only
-  sync::Mutex<sync::Rank::InferGang> gang_mu_;
-  sync::CondVar gang_cv_;
-  uint64_t gang_epoch_ = 0;
-  int gang_done_ = 0;
-  bool gang_quit_ = false;
-  const schedule::Schedule* gang_sched_ = nullptr;  ///< valid for one epoch
-
-  /// Driver-side pass arena (plan inputs, per-pass temporaries) plus the
-  /// reused pass containers — cleared, never shrunk, each pass.
+  /// Driver-side pass arena (plan inputs) plus the reused pass containers
+  /// — cleared, never shrunk, each pass.
   tensor::Arena driver_arena_;
   std::vector<PassEntry> plan_;
   std::vector<ActiveSeq> still_;
 };
 
-/// Data-parallel serving: `cfg.dp` independent InferencePipeline replicas
-/// (identical weights — same seed — on disjoint comm::Worlds) drain one
-/// shared RequestQueue concurrently. Completions merge in request-id order;
+/// The serving entry: `cfg.dp` independent InferencePipeline replicas
+/// (identical weights — same seed — on disjoint devices) drain one shared
+/// RequestQueue concurrently. Completions merge in request-id order;
 /// ServeStats are kept per replica and merged on demand. Because sampling
 /// streams are split from (seed, request id), which replica serves a
 /// request never changes its tokens.
 class InferenceServer {
  public:
-  explicit InferenceServer(InferConfig cfg);
+  /// `exec` picks the replicas' executor. Recompute is the sequential
+  /// ground truth, so it overrides `cfg` to one replica serving one stream
+  /// at a time on private pages (dp = 1, max_batch = 1, prefix cache off,
+  /// the default pool) behind an unbounded queue; config() reports the
+  /// overridden values.
+  explicit InferenceServer(InferConfig cfg,
+                           ExecutorKind exec = ExecutorKind::PipelineGang);
   ~InferenceServer();
 
   /// Queues a prompt on the shared queue; returns the request id (also the
@@ -611,7 +606,9 @@ class InferenceServer {
   /// `deadline_s` > 0 is a relative SLA from now; 0 uses the config
   /// default. Under a bounded queue policy the request may be refused (or
   /// evict the oldest queued one) — the refused request surfaces as a
-  /// StopReason::Rejected completion from the next drain().
+  /// StopReason::Rejected completion from the next drain(). A prompt
+  /// make_infer_request refuses throws std::invalid_argument; nothing is
+  /// queued and no id is used.
   int64_t enqueue(tensor::Tensor prompt, int max_new_tokens = 0,
                   TokenCallback on_token = {}, double deadline_s = 0.0);
 
@@ -643,8 +640,8 @@ class InferenceServer {
   void clear_prefix_cache();
 
   /// Replica 0's compiled forward-only schedule for `batch` streams (all
-  /// replicas compile identical programs).
-  const schedule::Schedule& schedule_for(int batch) {
+  /// replicas compile identical programs); null for Recompute.
+  const schedule::Schedule* schedule_for(int batch) {
     return replicas_[0]->schedule_for(batch);
   }
 

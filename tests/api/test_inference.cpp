@@ -151,6 +151,29 @@ TEST(InferenceSession, RejectsOverlongPrompts) {
   EXPECT_NO_THROW(s.enqueue(tight, 1));
 }
 
+TEST(InferenceSession, EveryBackendRejectsTheSameBadPrompts) {
+  // Admission is one helper on every backend, the dry run included: Sim
+  // must not accept a prompt that Threads and Reference refuse. Nothing is
+  // queued by a refused enqueue.
+  for (BackendKind kind :
+       {BackendKind::Threads, BackendKind::Reference, BackendKind::Sim}) {
+    InferenceSession s = tiny_server(Algo::Dapple, 2, 1).backend(kind).build();
+    Tensor wrong_rank({2, 3});
+    wrong_rank.fill(1.0f);
+    Tensor too_long({1, kTiny.seq});  // + 5 new tokens - 1 > seq
+    too_long.fill(1.0f);
+    Tensor out_of_vocab({1, 4});
+    out_of_vocab[3] = static_cast<float>(kTiny.vocab);
+    EXPECT_THROW(s.enqueue(wrong_rank), std::invalid_argument)
+        << backend_name(kind);
+    EXPECT_THROW(s.enqueue(too_long), std::invalid_argument)
+        << backend_name(kind);
+    EXPECT_THROW(s.enqueue(out_of_vocab), std::invalid_argument)
+        << backend_name(kind);
+    EXPECT_TRUE(s.run().empty()) << backend_name(kind);
+  }
+}
+
 // ---- (c) predict() == Sim backend ----------------------------------------
 
 TEST(InferenceSession, PredictAgreesWithSimBackend) {
@@ -337,12 +360,12 @@ TEST(InferenceSession, DocCommentPagedKvCompilesAndRuns) {
 // ---- SLA semantics agree across live backends ----------------------------
 
 TEST(InferenceSession, DeadlineAndRejectionSemanticsMatchAcrossBackends) {
-  // Reference is the serving ground truth for outcomes too: pre-expired
+  // Reference runs the same request lifecycle as Threads with a
+  // full-prefix-recompute executor, so outcomes agree: pre-expired
   // deadlines time out, cancels cancel — queued, or mid-decode from the
-  // request's own token callback — and the books balance, exactly as on
-  // Threads. (Backpressure is a live-queue property: Reference admits
-  // everything, so the bounded-queue case is Threads-only and covered by
-  // tests/runtime/test_serve_faults.cpp.)
+  // request's own token callback — and the books balance. (Reference's
+  // queue is unbounded by construction, so the bounded-queue case is
+  // Threads-only and covered by tests/runtime/test_serve_faults.cpp.)
   for (BackendKind kind : {BackendKind::Threads, BackendKind::Reference}) {
     InferenceSession s = tiny_server(Algo::Hanayo, 2, 2).backend(kind).build();
     Rng rng(11);
@@ -373,6 +396,49 @@ TEST(InferenceSession, DeadlineAndRejectionSemanticsMatchAcrossBackends) {
     EXPECT_EQ(rep.cancelled, 2);
     EXPECT_EQ(rep.timed_out, 1);
     EXPECT_EQ(rep.ttft_samples_s.size(), 1u);
+  }
+}
+
+TEST(InferenceSession, ReferenceKeepsOneStreamOnPrivatePagesWhateverTheKnobs) {
+  // Reference is one replica serving one stream at a time on private
+  // pages, whatever the builder asks for: replicas, a wider batch and the
+  // prefix cache change neither its tokens nor its shape. The prompts share
+  // an 8-token head, so a live prefix cache would register hits.
+  for (Sampling policy : {Sampling::Greedy(), Sampling::TopK(8, 0.9f)}) {
+    InferenceSession plain = tiny_server(Algo::Hanayo, 2, 2)
+                                 .backend(BackendKind::Reference)
+                                 .sampling(policy)
+                                 .build();
+    InferenceSession knobs = tiny_server(Algo::Hanayo, 2, 2)
+                                 .backend(BackendKind::Reference)
+                                 .sampling(policy)
+                                 .data_parallel(2)
+                                 .max_batch(4)
+                                 .prefix_cache(true)
+                                 .build();
+    Rng rng(27);
+    const Tensor head = random_prompt(rng, 8);
+    for (int r = 0; r < 4; ++r) {
+      const Tensor tail = random_prompt(rng, 2 + r);
+      Tensor prompt({1, 8 + tail.size(1)});
+      for (int64_t i = 0; i < prompt.size(1); ++i) {
+        prompt[i] = i < 8 ? head[i] : tail[i - 8];
+      }
+      plain.enqueue(prompt);
+      knobs.enqueue(prompt);
+    }
+    const auto a = plain.run();
+    const auto b = knobs.run();
+    ASSERT_EQ(a.size(), 4u);
+    ASSERT_EQ(b.size(), 4u);
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].tokens, b[i].tokens) << "request " << i;
+    }
+    const ServeReport rep = knobs.report();
+    EXPECT_EQ(rep.dp, 1);
+    EXPECT_EQ(rep.prefix_hits, 0);
+    EXPECT_EQ(rep.requests, 4);
+    EXPECT_EQ(knobs.schedule(), nullptr);
   }
 }
 

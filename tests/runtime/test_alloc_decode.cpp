@@ -9,10 +9,10 @@
 // objects, or capacity-retaining containers that stopped growing during
 // warm-up.
 //
-// Methodology: two drains on a warmed pipeline that differ only in their
-// continuation length, so setup, prefill, admission and completion costs
-// cancel exactly and the difference is the marginal cost of the extra pure
-// decode passes. The training probe uses the same differential trick over
+// Methodology: two drains on a warmed dp = 1 server that differ only in
+// their continuation length, so setup, prefill, admission and completion
+// costs cancel exactly and the difference is the marginal cost of the
+// extra pure decode passes. The training probe uses the same differential trick over
 // train_step() calls; its budget is measured-and-ratcheted rather than
 // zero (PipeDream weight stashing and optimizer-state maps keep a small
 // per-step node churn that is not on the serving latency path).
@@ -29,7 +29,7 @@
 
 using namespace hanayo;
 using runtime::InferConfig;
-using runtime::InferencePipeline;
+using runtime::InferenceServer;
 using tensor::AllocStats;
 using tensor::Tensor;
 
@@ -76,7 +76,7 @@ InferConfig tiny_serving_config() {
 // pass boundary onto the allocating abort sweep).
 void expect_decode_pass_within_budget(const InferConfig& cfg,
                                       bool stale_cancel = false) {
-  InferencePipeline pipe(cfg);
+  InferenceServer server(cfg);
   Tensor prompt({1, 8});
   for (int64_t i = 0; i < prompt.numel(); ++i) {
     prompt[i] = static_cast<float>(1 + i);
@@ -84,9 +84,9 @@ void expect_decode_pass_within_budget(const InferConfig& cfg,
 
   int64_t last_id = -1;
   const auto drain_with = [&](int max_new) {
-    last_id = pipe.enqueue(prompt, max_new);
+    last_id = server.enqueue(prompt, max_new);
     const AllocStats before = tensor::alloc_stats();
-    const auto done = pipe.drain();
+    const auto done = server.drain();
     EXPECT_EQ(done.size(), 1u);
     EXPECT_EQ(done.front().tokens.size(), static_cast<size_t>(max_new));
     return tensor::alloc_stats() - before;
@@ -99,7 +99,7 @@ void expect_decode_pass_within_budget(const InferConfig& cfg,
   // the zero assertions below vacuous).
   const AllocStats warm = drain_with(4);
   ASSERT_GT(warm.allocs, 0) << "counting allocator hook inactive?";
-  if (stale_cancel) pipe.cancel(last_id);
+  if (stale_cancel) server.cancel(last_id);
 
   constexpr int kShort = 4;
   constexpr int kLong = 36;

@@ -19,9 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bounded.hpp"
 #include "common/scale.hpp"
 #include "model/transformer.hpp"
 #include "runtime/infer.hpp"
@@ -31,7 +34,6 @@ using namespace hanayo;
 using runtime::Completion;
 using runtime::FaultInjection;
 using runtime::InferConfig;
-using runtime::InferencePipeline;
 using runtime::InferenceServer;
 using runtime::QueuePolicy;
 using runtime::ServeStats;
@@ -264,14 +266,13 @@ TEST(ServeFaults, RejectNewRefusesExcessArrivals) {
 TEST(ServeFaults, ShedOldestEvictsTheQueueHead) {
   // Same overflow, opposite policy: the OLDEST queued request is evicted
   // to make room, so ids 0..1 are shed and the newest three are served.
-  // (Own-queue pipeline: the policy applies identically there.)
   InferConfig cfg = fault_config(1);
   cfg.queue_policy = QueuePolicy::ShedOldest;
   cfg.max_queue = 3;
-  InferencePipeline pipeline(cfg);
+  InferenceServer server(cfg);
   const auto prompts = make_prompts(5, 61);
-  for (const Tensor& p : prompts) pipeline.enqueue(p);
-  const auto done = pipeline.drain();
+  for (const Tensor& p : prompts) server.enqueue(p);
+  const auto done = server.drain();
   ASSERT_EQ(done.size(), 5u);
   for (const Completion& c : done) {
     if (c.id < 2) {
@@ -281,11 +282,46 @@ TEST(ServeFaults, ShedOldestEvictsTheQueueHead) {
       EXPECT_TRUE(c.served());
     }
   }
-  const ServeStats st = pipeline.stats();
+  const ServeStats st = server.stats();
   EXPECT_EQ(st.rejected, 2);
   EXPECT_EQ(st.completed, 3);
   EXPECT_EQ(st.terminal(), st.submitted);
-  EXPECT_EQ(pipeline.slot_bytes(), 0);
+  EXPECT_EQ(server.slot_bytes(), 0);
+}
+
+TEST(ServeFaults, OutOfVocabPromptIsRefusedAtEnqueue) {
+  // An id the embedding cannot index would throw inside one pipeline
+  // worker while its peer blocks in an untimed receive, wedging the drain.
+  // Admission refuses it instead, naming the id and its position, and
+  // queues nothing; the other prompts drain and decode exactly as they
+  // would without it.
+  const auto prompts = make_prompts(3, 71);
+  const auto clean = serve_all(fault_config(1), prompts);
+
+  InferenceServer server(fault_config(1));
+  server.enqueue(prompts[0]);
+  Tensor bad = prompts[1];
+  bad[1] = 999.0f;
+  try {
+    server.enqueue(bad);
+    ADD_FAILURE() << "out-of-vocab prompt accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("999"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("position 1"), std::string::npos) << msg;
+  }
+  server.enqueue(prompts[1]);
+  server.enqueue(prompts[2]);
+
+  const auto done = hanayo_test::within_limit([&] { return server.drain(); });
+  ASSERT_EQ(done.size(), prompts.size());
+  for (size_t i = 0; i < done.size(); ++i) {
+    EXPECT_TRUE(done[i].served());
+    EXPECT_EQ(done[i].tokens, clean[i].tokens) << "request " << i;
+  }
+  const ServeStats st = server.stats();
+  EXPECT_EQ(st.submitted, 3);
+  EXPECT_EQ(st.terminal(), st.submitted);
 }
 
 TEST(ServeFaults, EnvSeedEnablesInjection) {

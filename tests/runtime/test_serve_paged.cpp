@@ -30,7 +30,6 @@
 using namespace hanayo;
 using runtime::Completion;
 using runtime::InferConfig;
-using runtime::InferencePipeline;
 using runtime::InferenceServer;
 using runtime::QueuePolicy;
 using runtime::ServeStats;
@@ -144,21 +143,21 @@ TEST(ServePaged, SharedPrefixSkipsPrefillAndMatchesBitwise) {
   // to fit the second stream's worst case — here sharing is under test,
   // not pool pressure.
   cfg.kv_pool_pages = 64;
-  InferencePipeline pipe(cfg);
-  for (const Tensor& p : prompts) pipe.enqueue(p);
-  const auto done = pipe.drain();
+  InferenceServer server(cfg);
+  for (const Tensor& p : prompts) server.enqueue(p);
+  const auto done = server.drain();
   expect_same_tokens(plain, done);
 
-  const ServeStats st = pipe.stats();
+  const ServeStats st = server.stats();
   EXPECT_EQ(st.prefix_hits, 1);
   EXPECT_EQ(st.prefix_hit_tokens, static_cast<int64_t>(head.size()));
   EXPECT_EQ(st.prompt_tokens, 32);  // the full prompts still count
   EXPECT_GT(st.kv_pages_peak, 0);
-  EXPECT_EQ(pipe.slot_bytes(), 0);
-  EXPECT_GT(pipe.pages_in_use(), 0);  // published pages stay resident
-  EXPECT_EQ(st.kv_pages_in_use, pipe.pages_in_use());
-  pipe.clear_prefix_cache();
-  EXPECT_EQ(pipe.pages_in_use(), 0);
+  EXPECT_EQ(server.slot_bytes(), 0);
+  EXPECT_GT(server.pages_in_use(), 0);  // published pages stay resident
+  EXPECT_EQ(st.kv_pages_in_use, server.pages_in_use());
+  server.clear_prefix_cache();
+  EXPECT_EQ(server.pages_in_use(), 0);
 }
 
 TEST(ServePaged, CancelStormLeaksNoPages) {
@@ -222,10 +221,10 @@ TEST(ServePaged, TinyPoolSerializesStreamsInsteadOfDeadlocking) {
   for (const Completion& c : got) EXPECT_TRUE(c.served());
   expect_same_tokens(want, got);
 
-  InferencePipeline pipe(tiny_pool);
-  for (const Tensor& p : prompts) pipe.enqueue(p);
-  (void)pipe.drain();
-  EXPECT_LE(pipe.stats().kv_pages_peak, 20);
+  InferenceServer server(tiny_pool);
+  for (const Tensor& p : prompts) server.enqueue(p);
+  (void)server.drain();
+  EXPECT_LE(server.stats().kv_pages_peak, 20);
 }
 
 TEST(ServePaged, PoolTooSmallForAnyStreamRejectsCleanly) {

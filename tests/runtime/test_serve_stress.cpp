@@ -300,27 +300,3 @@ TEST(ServeStress, RepeatedDrainCyclesDoNotLeak) {
     EXPECT_EQ(server.stats().requests, expect_requests);
   }
 }
-
-TEST(ServeStress, PipelineOwnQueueMatchesServer) {
-  // The dp=1 server and a bare pipeline (its own queue) are the same
-  // machine: identical tokens, identical counters.
-  InferConfig cfg = stress_config(1);
-  runtime::InferencePipeline pipeline(cfg);
-  InferenceServer server(cfg);
-  const std::vector<Traffic> reqs = make_traffic(5, 12);
-  for (const Traffic& t : reqs) {
-    pipeline.enqueue(t.prompt, t.want);
-    server.enqueue(t.prompt, t.want);
-  }
-  const auto a = pipeline.drain();
-  const auto b = server.drain();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].tokens, b[i].tokens);
-    EXPECT_EQ(a[i].stop_reason, b[i].stop_reason);
-  }
-  EXPECT_EQ(pipeline.slot_bytes(), 0);
-  EXPECT_EQ(pipeline.stats().generated_tokens,
-            server.stats().generated_tokens);
-}
