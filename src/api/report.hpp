@@ -39,6 +39,9 @@ struct StepReport {
 /// backend has no such notion (e.g. stash ledgers outside Async).
 struct MemoryReport {
   std::vector<int64_t> peak_cache_bytes;       ///< per pipeline rank
+  /// Per pipeline rank: peak bytes of the worker's iteration arena, which
+  /// holds the cached activations plus in-flight temporaries and scratch.
+  std::vector<int64_t> arena_high_water_bytes;
   std::vector<int64_t> optimizer_state_bytes;  ///< per worker, replica-major
   std::vector<int64_t> stash_bytes;            ///< async weight stash peak
   std::vector<int> stash_entries;              ///< async stashed versions

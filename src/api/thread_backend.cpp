@@ -29,6 +29,7 @@ StepReport ThreadBackend::step(const runtime::Batch& batch, int step_index) {
 void ThreadBackend::finalize(RunReport& report) const {
   report.backend = BackendKind::Threads;
   report.memory.peak_cache_bytes = trainer_.peak_cache_bytes();
+  report.memory.arena_high_water_bytes = trainer_.arena_high_water_bytes();
   report.memory.optimizer_state_bytes = trainer_.optimizer_state_bytes();
   if (cfg_.record_timeline) report.timeline = trainer_.last_timeline();
 

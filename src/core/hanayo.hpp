@@ -168,6 +168,13 @@
 //     that must outlive the pass (KV growth, optimizer slots) allocates
 //     under tensor::ArenaPause. Diagnose stray allocations with
 //     tensor::alloc_stats_trace(true).
+//   * Arena recycling: a Tensor destroyed on its arena's owner thread,
+//     before the next reset and with no ScratchBuffer open, hands its
+//     block to the next tensor of the same size. So never keep a raw
+//     pointer or span into a tensor past the tensor's lifetime, and never
+//     let a Tensor born inside a ScratchBuffer's scope outlive it. Debug
+//     and sanitizer builds NaN-fill recycled bytes and ASan poisons them,
+//     so such a read fails the anchors or aborts.
 
 #include "api/inference.hpp"
 #include "api/session.hpp"

@@ -181,6 +181,14 @@ std::vector<int64_t> Trainer::peak_cache_bytes() const {
   return out;
 }
 
+std::vector<int64_t> Trainer::arena_high_water_bytes() const {
+  std::vector<int64_t> out;
+  for (int d = 0; d < sched_.P; ++d) {
+    out.push_back(workers_[static_cast<size_t>(d)]->arena_high_water_bytes());
+  }
+  return out;
+}
+
 std::vector<int64_t> Trainer::optimizer_state_bytes() const {
   std::vector<int64_t> out;
   out.reserve(workers_.size());

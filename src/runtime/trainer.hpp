@@ -74,6 +74,8 @@ class Trainer {
   const schedule::Schedule& schedule() const { return sched_; }
   /// Peak runtime cache bytes per pipeline rank (replica 0), last step.
   std::vector<int64_t> peak_cache_bytes() const;
+  /// Iteration-arena high water per pipeline rank (replica 0), bytes.
+  std::vector<int64_t> arena_high_water_bytes() const;
   /// Optimizer-state bytes per worker (all replicas, replica-major). Under
   /// ZeRO-1 each entry is ~1/D of the unsharded value.
   std::vector<int64_t> optimizer_state_bytes() const;

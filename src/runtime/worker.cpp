@@ -41,6 +41,20 @@ Worker::Worker(WorkerParams params, comm::Communicator comm)
   if (static_cast<int>(p_.chunk_groups.size()) != pl.chunks_per_device()) {
     throw std::invalid_argument("Worker: chunk_groups size mismatch");
   }
+  for (StageModule& c : chunks_) {
+    chunk_params_.push_back(c.params());
+    all_params_.insert(all_params_.end(), chunk_params_.back().begin(),
+                       chunk_params_.back().end());
+  }
+
+  const schedule::DeviceScript& script = p_.sched->scripts[static_cast<size_t>(d)];
+  int mbs = 0;
+  for (const Action& a : script.actions) mbs = std::max(mbs, a.mb + 1);
+  slot_stride_ = pl.stages() + 1;
+  act_.resize(static_cast<size_t>(mbs) * static_cast<size_t>(slot_stride_));
+  grad_.resize(act_.size());
+  posted_.resize(script.actions.size());
+  posted_slot_.resize(script.actions.size());
 }
 
 Tensor Worker::input_slice(const Batch& batch, int m) const {
@@ -66,8 +80,8 @@ Tensor Worker::target_slice(const Batch& batch, int m) const {
 void Worker::note_memory() {
   int64_t cur = 0;
   for (const StageModule& c : chunks_) cur += c.cached_bytes();
-  for (const auto& [k, v] : act_) cur += v.bytes();
-  for (const auto& [k, v] : grad_) cur += v.bytes();
+  for (const Tensor& v : act_) cur += v.bytes();
+  for (const Tensor& v : grad_) cur += v.bytes();
   peak_cache_bytes_ = std::max(peak_cache_bytes_, cur);
 }
 
@@ -82,8 +96,8 @@ float Worker::run_iteration(const Batch& batch) {
   const int B = sched.B;
   const float scale = 1.0f / static_cast<float>(B * p_.dp);
 
-  act_.clear();
-  grad_.clear();
+  for (Tensor& v : act_) v = Tensor();
+  for (Tensor& v : grad_) v = Tensor();
   peak_cache_bytes_ = 0;
   timeline_.clear();
   float loss_local = 0.0f;
@@ -96,25 +110,18 @@ float Worker::run_iteration(const Batch& batch) {
 
   // ---- Prefetching (paper §4.2): post up to `prefetch_depth` receive
   // requests ahead of the interpreter's program counter.
-  struct Posted {
-    comm::Request req;
-    std::unique_ptr<Tensor> slot;
-  };
-  std::map<size_t, Posted> posted;
   size_t scan = 0;
   int outstanding = 0;
   const auto post_recv = [&](size_t idx) {
     const Action& a = script.actions[idx];
-    Posted ps;
-    ps.slot = std::make_unique<Tensor>();
+    Tensor* slot = &posted_slot_[idx];
     if (a.op == Op::RecvAct) {
-      ps.req = comm_.irecv(a.peer + p_.replica * sched.P,
-                           make_tag(Kind::Activation, a.mb, a.pos - 1), ps.slot.get());
+      posted_[idx] = comm_.irecv(a.peer + p_.replica * sched.P,
+                                 make_tag(Kind::Activation, a.mb, a.pos - 1), slot);
     } else {
-      ps.req = comm_.irecv(a.peer + p_.replica * sched.P,
-                           make_tag(Kind::Gradient, a.mb, a.pos + 1), ps.slot.get());
+      posted_[idx] = comm_.irecv(a.peer + p_.replica * sched.P,
+                                 make_tag(Kind::Gradient, a.mb, a.pos + 1), slot);
     }
-    posted.emplace(idx, std::move(ps));
   };
   const auto prefetch = [&] {
     while (scan < script.actions.size() && outstanding < p_.prefetch_depth) {
@@ -133,78 +140,71 @@ float Worker::run_iteration(const Batch& batch) {
     const Action& a = script.actions[i];
     switch (a.op) {
       case Op::LoadInput:
-        act_[{a.mb, -1}] = input_slice(batch, a.mb);
+        act_at(a.mb, -1) = input_slice(batch, a.mb);
         break;
 
       case Op::RecvAct:
       case Op::RecvGrad: {
-        auto it = posted.find(i);
-        if (it == posted.end()) {
+        if (posted_[i] == nullptr) {
           // Not prefetched (depth exhausted); post now and wait.
           post_recv(i);
           ++outstanding;
           if (scan <= i) scan = i + 1;
-          it = posted.find(i);
         }
-        it->second.req->wait();
+        posted_[i]->wait();
+        posted_[i] = nullptr;
         --outstanding;
-        Tensor got = std::move(*it->second.slot);
+        Tensor got = std::move(posted_slot_[i]);
         if (p_.fp16_comm) got = comm::unpack_fp16(got);
         if (a.op == Op::RecvAct) {
-          act_[{a.mb, a.pos - 1}] = std::move(got);
+          act_at(a.mb, a.pos - 1) = std::move(got);
         } else {
-          grad_[{a.mb, a.pos + 1}] = std::move(got);
+          grad_at(a.mb, a.pos + 1) = std::move(got);
         }
-        posted.erase(it);
         prefetch();
         break;
       }
 
       case Op::Forward: {
-        const auto key = std::pair<int, int>{a.mb, a.pos == 0 ? -1 : a.pos - 1};
-        const auto it = act_.find(key);
-        if (it == act_.end()) {
-          throw std::logic_error("Forward: missing input activation");
-        }
+        Tensor& x = act_at(a.mb, a.pos == 0 ? -1 : a.pos - 1);
+        if (x.empty()) throw std::logic_error("Forward: missing input activation");
         StageModule& chunk = chunks_[static_cast<size_t>(a.chunk)];
         const double t0 = p_.timeline_origin ? since_origin() : 0.0;
-        Tensor y = chunk.forward(it->second, a.mb);
+        Tensor y = chunk.forward(x, a.mb);
         if (p_.timeline_origin) {
           timeline_.push_back({a.mb, a.pos, false, t0, since_origin()});
         }
-        act_.erase(it);
-        act_[{a.mb, a.pos}] = std::move(y);
+        x = Tensor();
+        act_at(a.mb, a.pos) = std::move(y);
         note_memory();
         prefetch();
         break;
       }
 
       case Op::SendAct: {
-        const auto it = act_.find({a.mb, a.pos});
-        if (it == act_.end()) throw std::logic_error("SendAct: missing activation");
-        Tensor payload = p_.fp16_comm ? comm::pack_fp16(it->second)
-                                      : std::move(it->second);
+        Tensor& y = act_at(a.mb, a.pos);
+        if (y.empty()) throw std::logic_error("SendAct: missing activation");
+        Tensor payload = p_.fp16_comm ? comm::pack_fp16(y) : std::move(y);
         comm_.isend(a.peer + p_.replica * sched.P,
                     make_tag(Kind::Activation, a.mb, a.pos), std::move(payload));
-        act_.erase(it);
+        y = Tensor();
         break;
       }
 
       case Op::Backward: {
         Tensor dy;
         if (a.pos == S - 1) {
-          const auto it = act_.find({a.mb, a.pos});
-          if (it == act_.end()) throw std::logic_error("Backward: missing logits");
+          Tensor& logits = act_at(a.mb, a.pos);
+          if (logits.empty()) throw std::logic_error("Backward: missing logits");
           auto [loss, dlogits] =
-              model::cross_entropy(it->second, target_slice(batch, a.mb), scale);
+              model::cross_entropy(logits, target_slice(batch, a.mb), scale);
           loss_local += loss;
           dy = std::move(dlogits);
-          act_.erase(it);
+          logits = Tensor();
         } else {
-          const auto it = grad_.find({a.mb, a.pos + 1});
-          if (it == grad_.end()) throw std::logic_error("Backward: missing gradient");
-          dy = std::move(it->second);
-          grad_.erase(it);
+          Tensor& g = grad_at(a.mb, a.pos + 1);
+          if (g.empty()) throw std::logic_error("Backward: missing gradient");
+          dy = std::move(g);
         }
         StageModule& chunk = chunks_[static_cast<size_t>(a.chunk)];
         const double t0 = p_.timeline_origin ? since_origin() : 0.0;
@@ -212,20 +212,19 @@ float Worker::run_iteration(const Batch& batch) {
         if (p_.timeline_origin) {
           timeline_.push_back({a.mb, a.pos, true, t0, since_origin()});
         }
-        if (a.pos > 0) grad_[{a.mb, a.pos}] = std::move(dx);
+        if (a.pos > 0) grad_at(a.mb, a.pos) = std::move(dx);
         note_memory();
         prefetch();
         break;
       }
 
       case Op::SendGrad: {
-        const auto it = grad_.find({a.mb, a.pos});
-        if (it == grad_.end()) throw std::logic_error("SendGrad: missing gradient");
-        Tensor payload = p_.fp16_comm ? comm::pack_fp16(it->second)
-                                      : std::move(it->second);
+        Tensor& g = grad_at(a.mb, a.pos);
+        if (g.empty()) throw std::logic_error("SendGrad: missing gradient");
+        Tensor payload = p_.fp16_comm ? comm::pack_fp16(g) : std::move(g);
         comm_.isend(a.peer + p_.replica * sched.P,
                     make_tag(Kind::Gradient, a.mb, a.pos), std::move(payload));
-        grad_.erase(it);
+        g = Tensor();
         break;
       }
 
@@ -251,7 +250,7 @@ float Worker::run_iteration(const Batch& batch) {
         for (const size_t c : stage_ordered_chunks()) {
           const comm::Group& g = p_.chunk_groups[c];
           if (g.size() <= 1) continue;
-          const auto params = chunks_[c].params();
+          const std::vector<model::Param*>& params = chunk_params_[c];
           for (size_t pi = 0; pi < params.size(); ++pi) {
             const int phase = static_cast<int>((static_cast<size_t>(chunk_stages_[c]) * 4096 + pi) * 2);
             Tensor& grad = params[pi]->grad;
@@ -276,7 +275,7 @@ float Worker::run_iteration(const Batch& batch) {
           double local_sq = 0.0;
           for (size_t c = 0; c < chunks_.size(); ++c) {
             const comm::Group& g = p_.chunk_groups[c];
-            for (model::Param* pp : chunks_[c].params()) {
+            for (model::Param* pp : chunk_params_[c]) {
               if (p_.zero_shard && g.size() > 1) {
                 const int gi = g.index_of(comm_.rank());
                 const auto [b, e] =
@@ -294,9 +293,7 @@ float Worker::run_iteration(const Batch& batch) {
           const double norm = std::sqrt(static_cast<double>(total_sq));
           if (norm > p_.max_grad_norm) {
             const float coef = p_.max_grad_norm / static_cast<float>(norm);
-            for (StageModule& c : chunks_) {
-              model::scale_grads(c.params(), coef);
-            }
+            model::scale_grads(all_params_, coef);
           }
         }
         break;
@@ -313,12 +310,8 @@ float Worker::run_iteration(const Batch& batch) {
         if (p_.zero_shard) {
           zero_opt_step();
         } else {
-          std::vector<model::Param*> all;
-          for (StageModule& c : chunks_) {
-            for (model::Param* pp : c.params()) all.push_back(pp);
-          }
-          optimizer_->step(all);
-          for (model::Param* pp : all) pp->zero_grad();
+          optimizer_->step(all_params_);
+          for (model::Param* pp : all_params_) pp->zero_grad();
         }
         ++opt_steps_;
         break;
@@ -356,7 +349,7 @@ void Worker::zero_opt_step() {
   // sequence.
   for (const size_t c : stage_ordered_chunks()) {
     const comm::Group& g = p_.chunk_groups[c];
-    const auto params = chunks_[c].params();
+    const std::vector<model::Param*>& params = chunk_params_[c];
     for (size_t pi = 0; pi < params.size(); ++pi) {
       model::Param* pp = params[pi];
       all.push_back(pp);
@@ -391,20 +384,12 @@ int64_t Worker::optimizer_state_bytes() const {
 
 std::vector<std::pair<std::string, tensor::Tensor>>
 Worker::optimizer_state_snapshot() {
-  std::vector<model::Param*> all;
-  for (StageModule& c : chunks_) {
-    for (model::Param* pp : c.params()) all.push_back(pp);
-  }
-  return optimizer_->state_snapshot(all);
+  return optimizer_->state_snapshot(all_params_);
 }
 
 void Worker::load_optimizer_state(
     const std::map<std::string, tensor::Tensor>& state) {
-  std::vector<model::Param*> all;
-  for (StageModule& c : chunks_) {
-    for (model::Param* pp : c.params()) all.push_back(pp);
-  }
-  optimizer_->load_state(all, state);
+  optimizer_->load_state(all_params_, state);
 }
 
 }  // namespace hanayo::runtime

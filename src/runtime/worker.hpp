@@ -100,6 +100,10 @@ class Worker {
   /// Peak of (sum of layer caches + in-transit buffers) observed during the
   /// last iteration, in bytes. The runtime analogue of the simulator's Ma.
   int64_t last_peak_cache_bytes() const { return peak_cache_bytes_; }
+  /// Peak bytes the iteration arena has bumped since construction: what
+  /// the worker's pass-lifetime tensors and scratch really hold, next to
+  /// the live activation cache above.
+  int64_t arena_high_water_bytes() const { return arena_.high_water(); }
   /// Bytes of optimizer state this worker holds (ZeRO-1 shrinks this by the
   /// gradient-sync group size).
   int64_t optimizer_state_bytes() const;
@@ -120,6 +124,14 @@ class Worker {
   tensor::Tensor target_slice(const Batch& batch, int m) const;
   void note_memory();
   void zero_opt_step();
+  /// Flat iteration slot of (micro-batch, stage position); pos -1 is the
+  /// input micro-batch.
+  tensor::Tensor& act_at(int mb, int pos) { return act_[slot_of(mb, pos)]; }
+  tensor::Tensor& grad_at(int mb, int pos) { return grad_[slot_of(mb, pos)]; }
+  size_t slot_of(int mb, int pos) const {
+    return static_cast<size_t>(mb) * static_cast<size_t>(slot_stride_) +
+           static_cast<size_t>(pos + 1);
+  }
   /// Local chunk indices sorted by global stage id — the iteration order for
   /// blocking collectives (see the deadlock note at the flush).
   std::vector<size_t> stage_ordered_chunks() const;
@@ -133,10 +145,20 @@ class Worker {
   int64_t peak_cache_bytes_ = 0;
   int64_t opt_steps_ = 0;
   std::vector<ComputeSpan> timeline_;
+  /// Parameter lists, built once: per local chunk, and all chunks in local
+  /// order (the optimizer's order).
+  std::vector<std::vector<model::Param*>> chunk_params_;
+  std::vector<model::Param*> all_params_;
 
-  // Iteration-scoped state (cleared per run).
-  std::map<std::pair<int, int>, tensor::Tensor> act_;   // (m, pos) -> activation
-  std::map<std::pair<int, int>, tensor::Tensor> grad_;  // (m, pos) -> input-grad of pos
+  // Iteration-scoped state, sized from the schedule at construction and
+  // cleared per run. An empty tensor marks a vacant slot.
+  int slot_stride_ = 0;                // stages + 1
+  std::vector<tensor::Tensor> act_;    // (m, pos) -> activation
+  std::vector<tensor::Tensor> grad_;   // (m, pos) -> input-grad of pos
+  /// Receive requests posted ahead of need, by action index, with the
+  /// slots they deliver into (stable: never resized after construction).
+  std::vector<comm::Request> posted_;
+  std::vector<tensor::Tensor> posted_slot_;
 
   /// Iteration-lifetime tensor arena: run_iteration opens an ArenaScope on
   /// it, so activations, gradients-in-flight, attention scratch and comm

@@ -36,8 +36,10 @@ Buffer::Buffer(int64_t n) : n_(n) {
     return;
   }
   if (Arena* a = Arena::current()) {
-    p_ = a->alloc_floats(n_);
+    p_ = static_cast<float*>(
+        a->acquire(n_ * static_cast<int64_t>(sizeof(float))));
     arena_ = a;
+    gen_ = a->generation();
   } else {
     p_ = new float[static_cast<size_t>(n_)];
   }
@@ -47,7 +49,8 @@ Buffer::Buffer(const Buffer& o) : Buffer(o.n_) {
   if (n_ > 0) std::memcpy(p_, o.p_, static_cast<size_t>(n_) * sizeof(float));
 }
 
-Buffer::Buffer(Buffer&& o) noexcept : p_(o.p_), n_(o.n_), arena_(o.arena_) {
+Buffer::Buffer(Buffer&& o) noexcept
+    : p_(o.p_), n_(o.n_), arena_(o.arena_), gen_(o.gen_) {
   o.p_ = nullptr;
   o.n_ = 0;
   o.arena_ = nullptr;
@@ -68,6 +71,7 @@ Buffer& Buffer::operator=(Buffer&& o) noexcept {
   p_ = o.p_;
   n_ = o.n_;
   arena_ = o.arena_;
+  gen_ = o.gen_;
   o.p_ = nullptr;
   o.n_ = 0;
   o.arena_ = nullptr;
@@ -75,11 +79,14 @@ Buffer& Buffer::operator=(Buffer&& o) noexcept {
 }
 
 void Buffer::release() {
-  // Arena-backed payloads are reclaimed in bulk by Arena::reset(); this
-  // destructor must not touch the pointer at all — the arena may already
-  // have been reset by its owner thread by the time a cross-thread
-  // consumer drops its (moved-from or copied) handle.
-  if (arena_ == nullptr && p_ != nullptr) delete[] p_;
+  // Only the owner thread may touch the arena: compare pointers first and
+  // never dereference another thread's arena. A peer dropping a payload it
+  // received leaves the block to the owner's next reset.
+  if (arena_ == nullptr) {
+    delete[] p_;
+  } else if (arena_ == Arena::current()) {
+    arena_->recycle(p_, n_ * static_cast<int64_t>(sizeof(float)), gen_);
+  }
   p_ = nullptr;
   n_ = 0;
   arena_ = nullptr;

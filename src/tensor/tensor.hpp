@@ -8,12 +8,14 @@
 //
 // Storage is arena-aware: when a pass-lifetime arena is the calling
 // thread's active context (tensor/arena.hpp), new tensors draw their
-// payload from it — a bump-pointer increment instead of operator new —
-// and their destructors are no-ops. Outside an arena context (weights,
-// KV slots, anything long-lived) storage comes from the heap as before.
-// A tensor remembers which regime it was born into, so heap tensors and
-// arena tensors mix freely; moving a tensor moves the payload without
-// touching either allocator.
+// payload from it — a free-list pop or a bump-pointer increment instead of
+// operator new — and destroying them on the arena's owner thread, before
+// its next reset, returns the block to the arena's free list for the next
+// tensor of the same size. Outside an arena context (weights, KV pages,
+// anything long-lived) storage comes from the heap as before. A tensor
+// remembers which regime it was born into, so heap tensors and arena
+// tensors mix freely; moving a tensor moves the payload without touching
+// either allocator.
 
 #include <cstdint>
 #include <initializer_list>
@@ -60,9 +62,13 @@ class Shape {
 };
 
 /// The payload of a Tensor: a float block owned either by the heap or by
-/// the arena that was active when it was created. Arena-backed buffers
-/// have no-op destructors (the arena reclaims in bulk at reset), which is
-/// what lets a whole pass tear down without a single free().
+/// the arena that was active when it was created. Releasing an arena-backed
+/// buffer never frees anything: on the arena's owner thread, in the
+/// generation the buffer was born in and with no scratch mark open, it
+/// returns the block to the arena's free list of its size; anywhere else
+/// (a peer thread, after a reset, under a mark) it is a no-op and the
+/// arena reclaims the bytes in bulk at its next reset. Either way a whole
+/// pass tears down without a single free().
 class Buffer {
  public:
   Buffer() = default;
@@ -84,10 +90,12 @@ class Buffer {
 
   float* p_ = nullptr;
   int64_t n_ = 0;
-  /// Non-null: `p_` lives in this arena and must never be freed here
-  /// (the arena resets in bulk). Null: `p_` is `new float[]` and the
+  /// Non-null: `p_` lives in this arena and is never freed here (it may
+  /// be recycled, see above). Null: `p_` is `new float[]` and the
   /// destructor releases it.
   Arena* arena_ = nullptr;
+  /// The arena generation `p_` was handed out in (Arena::generation()).
+  uint64_t gen_ = 0;
 };
 
 class Tensor {
@@ -143,10 +151,12 @@ class Tensor {
     return data_.data()[(n * shape_[1] + t) * shape_[2] + h];
   }
 
-  /// Returns a tensor with the same data and a new shape; numel must match.
+  /// Returns a copy of the data under a new shape; numel must match. The
+  /// payload is copied, not shared: the result owns a fresh buffer from the
+  /// current context.
   Tensor reshaped(Shape new_shape) const;
-  /// Reinterprets [a, b, c] as [a*b, c] (no copy of semantics, data shared
-  /// by value copy). Requires dim() >= 2.
+  /// Copies [a, b, c] into a fresh [a*b, c] tensor (see reshaped).
+  /// Requires dim() >= 2.
   Tensor flattened_2d() const;
 
   /// In-place fill.

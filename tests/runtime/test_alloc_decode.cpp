@@ -45,15 +45,17 @@ namespace {
 // decode hot path. Fix the source — never raise this number.
 constexpr int64_t kDecodePassAllocBudget = 0;
 
-// Steady-state training step, same differential methodology. Measured at
-// 461 per step on this configuration (P=2, B=4, dp=1, gcc 12 /
-// libstdc++): per-step worker thread spawns (the Trainer joins its gang
-// every step — the flush is a hard barrier anyway), act_/grad_ map nodes,
-// posted-receive slots and allreduce staging. Tensor payloads themselves
-// already come from the iteration arena; what remains is container/thread
-// bookkeeping off the serving latency path. Ratchet DOWN as training-side
-// pooling grows; never raise without a CHANGES.md note.
-constexpr int64_t kTrainStepAllocBudget = 512;
+// Steady-state training step, same differential methodology, on this
+// configuration (P=2, B=4, dp=1, gcc 12 / libstdc++). Measured at 461 per
+// step (budget 512) when the worker kept act_/grad_ as maps and a heap
+// slot per posted receive; those became flat vectors sized from the
+// schedule, and 343 remain: the layers' per-micro-batch cache map nodes
+// (about 240) and the Trainer's per-step worker thread spawns and their
+// bookkeeping (about 100; the Trainer joins its gang every step — the
+// flush is a hard barrier anyway). Tensor
+// payloads themselves come from the iteration arena. Ratchet DOWN as
+// training-side pooling grows; never raise without a CHANGES.md note.
+constexpr int64_t kTrainStepAllocBudget = 343;
 
 InferConfig tiny_serving_config() {
   InferConfig cfg;

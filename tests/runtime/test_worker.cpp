@@ -130,6 +130,33 @@ TEST(Worker, ManyStepsNoStateLeak) {
   EXPECT_EQ(first, last);
 }
 
+TEST(Worker, ArenaHighWaterStaysNearTheActivationCache) {
+  // The iteration arena recycles released tensor payloads, so each rank's
+  // arena holds about the bytes live at once (activation cache plus
+  // in-flight temporaries), not every byte the step allocated.
+  Session s = Session::builder()
+                  .model(ModelConfig::tiny(16, 32, 2, 64, 16))
+                  .algo(Algo::Hanayo)
+                  .pipeline(4)
+                  .micro_batches(8)
+                  .waves(2)
+                  .mb_sequences(1)
+                  .seed(1)
+                  .build();
+  Rng rng(5);
+  const Batch batch = synthetic_batch(s.config().model, s.batch_rows(), rng);
+  const RunReport rep = s.run(batch, 2);
+  const MemoryReport& mem = rep.memory;
+  ASSERT_EQ(mem.arena_high_water_bytes.size(), mem.peak_cache_bytes.size());
+  ASSERT_EQ(mem.peak_cache_bytes.size(), 4u);
+  for (size_t d = 0; d < mem.peak_cache_bytes.size(); ++d) {
+    EXPECT_GT(mem.peak_cache_bytes[d], 0) << "rank " << d;
+    EXPECT_LE(mem.arena_high_water_bytes[d], 2 * mem.peak_cache_bytes[d])
+        << "rank " << d << ": arena " << mem.arena_high_water_bytes[d]
+        << " B vs activation cache " << mem.peak_cache_bytes[d] << " B";
+  }
+}
+
 TEST(Worker, LossIdenticalOnAllWorkers) {
   // After the flush allreduce, every worker reports the same loss; the
   // Trainer returns worker 0's. Verify via two trainers with swapped
